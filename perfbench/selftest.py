@@ -7,7 +7,9 @@ Run from the repository root.  For each workload it checks that
 
   * an untouched run passes every output check (failed == 0);
   * a run with --flip-result 0, which flips one bit in the first
-    delivered result, is caught: failed > 0 and correct is false;
+    delivered result, is caught: failed > 0 and correct is false, and
+    so is a flip in result 30, which in the in-process workloads only
+    the check that a slot's repetitions repeat bit for bit can catch;
   * two traced runs of one seed report identical deterministic work
     counts, and the Chrome trace file each writes is valid JSON.
 
@@ -58,10 +60,12 @@ def main():
         clean = run(w, args.seed, 0)
         expect(clean["correct"] and clean["failed"] == 0,
                f"{w}: untouched run passes its output checks")
-        flipped = run(w, args.seed, 0, ["--flip-result", "0"])
-        expect(not flipped["correct"] and flipped["failed"] > 0,
-               f"{w}: one flipped bit makes failed_frac non-zero "
-               f"({flipped['failed']} of {flipped['attempted']})")
+        for k in ("0", "30"):
+            flipped = run(w, args.seed, 0, ["--flip-result", k])
+            expect(not flipped["correct"] and flipped["failed"] > 0,
+                   f"{w}: one flipped bit in result {k} makes failed_frac "
+                   f"non-zero ({flipped['failed']} of "
+                   f"{flipped['attempted']})")
         first = run(w, args.seed, 1)
         second = run(w, args.seed, 1)
         for name in DETERMINISTIC:

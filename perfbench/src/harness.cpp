@@ -202,19 +202,29 @@ Ctx::delivered(const fc::ProfileSet& set, bool campaign)
         addCampaign();
 }
 
+double
+slotTime(const SlotTally& s)
+{
+    return s.ms.empty() ? 0.0 : *std::min_element(s.ms.begin(), s.ms.end());
+}
+
 Pass
-slotPass(const std::map<std::uint64_t, SlotTally>& slots)
+slotPass(const std::map<std::uint64_t, SlotTally>& slots,
+         const std::function<std::uint64_t(std::uint64_t)>& batch_of)
 {
     Pass p;
+    std::map<std::uint64_t, double> batches;
     for (const auto& [key, s] : slots) {
         const double reps = static_cast<double>(s.ms.size());
-        const double ms = interpolatedPercentile(s.ms, kSlotPercentile);
+        const double ms = slotTime(s);
         p.seconds += ms / 1e3;
         p.campaigns += s.campaigns / reps;
         p.runs += s.runs / reps;
         p.points += s.points / reps;
-        p.slot_ms.push_back(ms);
+        batches[batch_of(key)] += ms;
     }
+    for (const auto& [key, ms] : batches)
+        p.batch_ms.push_back(ms);
     return p;
 }
 
@@ -249,6 +259,13 @@ Ctx::checkOperation(bool ok, const std::string& what)
 {
     ++attempted_;
     check(ok, what);
+}
+
+void
+Ctx::sameAsFirst(std::uint64_t digest, const std::string& what)
+{
+    const auto [it, fresh] = first_digest_.emplace(slot_key_, digest);
+    check(fresh || it->second == digest, what + " repeats bit for bit");
 }
 
 void

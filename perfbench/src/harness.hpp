@@ -7,18 +7,21 @@
  * checks, per-round accounting and the per-layer tallies of traced
  * passes.
  *
- * Every round sends the same sequence of request *slots* (slot k of
- * each round is the same kind of request: the same kernel, sweep point
- * or batch shape, on fresh seeds).  On a small shared host one thread
- * of identical work runs at two speeds up to 1.7x apart, switching
- * every few seconds as neighbours come and go; the slower state is the
- * usual one.  The end-to-end figures therefore use each slot's
- * upper-quartile repetition (kSlotPercentile), which tracks that usual
- * state and varied least between runs of the four estimators tried
- * (fastest, lower quartile, mean, upper quartile).  A pass is one
- * request per slot, its time the sum of those slot times, its work the
- * slots' mean work.  Rates are work per pass second; latencies are
- * percentiles over the slot times.
+ * Every round sends the same sequence of request *slots*.  In the
+ * in-process workloads slot k is the same request in every round (the
+ * same spec and seed, or the same sweep point of the same recording),
+ * so its repetitions do identical work and must deliver identical bits.
+ * On a small shared host one thread of identical work runs at two
+ * speeds up to 1.8x apart (CPU time slows with wall time, so it is the
+ * core, not the scheduler), switching every fraction of a second to
+ * several seconds, in proportions that drift over minutes.  Any
+ * percentile of the repetitions but the lowest measures that mixture,
+ * so a slot's time is its fastest repetition (slotTime): the code's
+ * speed when the host lets it run, which is what a change to the code
+ * can move.  A pass is one request per slot, its time the sum of those
+ * slot times, its work the slots' mean work.  Rates are work per pass
+ * second.  Latencies are percentiles over the pass's batches: a batch
+ * is a group of slots (Workload::batchOf), its time the sum of theirs.
  *
  * An untraced run feeds every round to those figures.  A traced run
  * executes even rounds untraced and odd rounds traced; comparing the
@@ -28,6 +31,7 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -78,9 +82,9 @@ bool wellFormed(const fingrav::core::ProfileSet& set,
 double percentile(std::vector<double> v, double p);
 
 /**
- * Linearly interpolated percentile of `v`, p in [0, 100].  Slot times
- * use it: with a few repetitions per slot, a nearest-rank percentile
- * jumps between order statistics as the repetition count changes.
+ * Linearly interpolated percentile of `v`, p in [0, 100].  Batch
+ * latencies use it: over a few batches a nearest-rank percentile jumps
+ * between order statistics.
  */
 double interpolatedPercentile(std::vector<double> v, double p);
 
@@ -95,20 +99,28 @@ struct SlotTally {
     double points = 0.0;
 };
 
-/** The (interpolated) percentile of a slot's repetitions that stands
- *  for the slot. */
-inline constexpr double kSlotPercentile = 75.0;
+/** The time that stands for a slot: its fastest repetition. */
+double slotTime(const SlotTally& s);
 
-/** One pass over a set of slots at each slot's kSlotPercentile time. */
+/**
+ * The batch latency tail.  Fixed, so a faster run reports the same
+ * percentile; a workload has 3 to 20 batches, too few for a percentile
+ * with ten batches beyond it.
+ */
+inline constexpr double kBatchTailPercentile = 90.0;
+
+/** One pass over a set of slots at each slot's slotTime. */
 struct Pass {
     double seconds = 0.0;  ///< sum of the slot times
     double campaigns = 0.0;
     double runs = 0.0;
     double points = 0.0;
-    std::vector<double> slot_ms;  ///< slot time, one per slot
+    std::vector<double> batch_ms;  ///< one per batch: its slots' time
 };
 
-Pass slotPass(const std::map<std::uint64_t, SlotTally>& slots);
+/** The pass over `slots`, grouped into batches by `batch_of(slot)`. */
+Pass slotPass(const std::map<std::uint64_t, SlotTally>& slots,
+              const std::function<std::uint64_t(std::uint64_t)>& batch_of);
 
 /** Wall and CPU time of one round's timed requests. */
 struct RoundTally {
@@ -161,6 +173,7 @@ class Ctx {
         SlotTally& s = slots_[round_.traced ? 1 : 0][slot];
         s.ms.push_back(ms);
         slot_ = &s;
+        slot_key_ = slot;
         if (threw)
             ++failed_;
         return ms;
@@ -186,6 +199,12 @@ class Ctx {
     void check(bool ok, const std::string& what);
     /** A check that is an operation of its own (canaries). */
     void checkOperation(bool ok, const std::string& what);
+
+    /**
+     * The latest request's result must equal the one its slot delivered
+     * first (slots repeat identical work): an output check.
+     */
+    void sameAsFirst(std::uint64_t digest, const std::string& what);
 
     /** Fold a round's results into its digest line. */
     void mixDigest(std::uint64_t d);
@@ -216,6 +235,8 @@ class Ctx {
     std::vector<RoundTally> rounds_;
     std::map<std::uint64_t, SlotTally> slots_[2];
     SlotTally* slot_ = nullptr;  ///< the latest request's slot
+    std::uint64_t slot_key_ = 0;
+    std::map<std::uint64_t, std::uint64_t> first_digest_;
     std::uint64_t attempted_ = 0;
     std::uint64_t failed_ = 0;
     std::uint64_t request_id_ = 0;
@@ -250,12 +271,10 @@ class Workload {
     virtual void finish(Ctx&) {}
 
     /**
-     * The latency tail percentile: the highest with at least ten samples
-     * beyond it at this workload's request count when the benchmark was
-     * sized.  Fixed, so a faster run reports the same percentile; runs
-     * with too few samples fall back to tailPercentile().
+     * The batch a slot belongs to; batch latencies sum their slots.
+     * By default every slot is a batch of its own.
      */
-    virtual double tailP() const = 0;
+    virtual std::uint64_t batchOf(std::uint64_t slot) const { return slot; }
 };
 
 /** The named workload, or null. */

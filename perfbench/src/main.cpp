@@ -30,7 +30,7 @@
 namespace perfbench {
 namespace {
 
-constexpr int kSetupReps = 5;
+constexpr int kSetupReps = 11;
 /** Rounds stop starting after this much wall time, whatever --seconds
  *  says, so a run always exits well inside its time limit. */
 constexpr double kWallCapS = 120.0;
@@ -113,7 +113,7 @@ ratio(double num, double den)
 }
 
 std::vector<Metric>
-endToEnd(const Pass& pass, double setup_s, double cpu_s, double tail_p)
+endToEnd(const Pass& pass, double setup_s, double cpu_s)
 {
     rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
@@ -122,8 +122,9 @@ endToEnd(const Pass& pass, double setup_s, double cpu_s, double tail_p)
         {"campaigns_per_s", ratio(pass.campaigns, pass.seconds), "1/s"},
         {"runs_per_s", ratio(pass.runs, pass.seconds), "1/s"},
         {"sweep_points_per_s", ratio(pass.points, pass.seconds), "1/s"},
-        {"batch_p50_ms", percentile(pass.slot_ms, 50.0), "ms"},
-        {"batch_tail_ms", percentile(pass.slot_ms, tail_p), "ms"},
+        {"batch_p50_ms", interpolatedPercentile(pass.batch_ms, 50.0), "ms"},
+        {"batch_tail_ms",
+         interpolatedPercentile(pass.batch_ms, kBatchTailPercentile), "ms"},
         {"cpu_s", cpu_s, "s"},
         {"peak_rss_mb", static_cast<double>(ru.ru_maxrss) / 1024.0, "MB"},
     };
@@ -141,9 +142,8 @@ perLayer(const Ctx& ctx, long invol_ctx_switches)
         const auto it = ctx.slots(false).find(key);
         if (it == ctx.slots(false).end())
             continue;
-        pass_traced += interpolatedPercentile(s.ms, kSlotPercentile);
-        pass_untraced +=
-            interpolatedPercentile(it->second.ms, kSlotPercentile);
+        pass_traced += slotTime(s);
+        pass_untraced += slotTime(it->second);
     }
     const auto self = tracer().requestSelfSeconds();
     auto selfOf = [&](const char* l) {
@@ -337,20 +337,21 @@ run(const Options& opts)
     // Fleet workers run only inside timed requests and the short warm-up,
     // so all their CPU counts against the untraced wall of a plain run.
     const double cpu_total = untraced_cpu + (opts.trace ? 0.0 : children_s);
-    const Pass pass = slotPass(ctx.slots(false));
-    const double tail_p =
-        std::min(workload->tailP(), tailPercentile(pass.slot_ms.size()));
+    const Pass pass = slotPass(ctx.slots(false), [&](std::uint64_t slot) {
+        return workload->batchOf(slot);
+    });
     // CPU per pass: the run's CPU per timed second times the pass's
     // seconds (both speeds of the host inflate CPU and wall alike).
     const double cpu_s = ratio(cpu_total, untraced_wall) * pass.seconds;
-    const auto e2e = endToEnd(pass, median(setups), cpu_s, tail_p);
+    const auto e2e = endToEnd(pass, median(setups), cpu_s);
     std::printf("workload %s seed %llu: %zu untraced rounds, %.3f s timed "
                 "wall, %.3f s cpu (fleet workers %.3f s); pass %.3f s "
-                "over %zu slots; tail = p%g of %zu slots\n",
+                "over %zu slots; tail = p%g of %zu batches\n",
                 opts.workload.c_str(),
                 static_cast<unsigned long long>(opts.seed), untraced_rounds,
                 untraced_wall, untraced_cpu, children_s, pass.seconds,
-                pass.slot_ms.size(), tail_p, pass.slot_ms.size());
+                ctx.slots(false).size(), kBatchTailPercentile,
+                pass.batch_ms.size());
     std::printf("failed_frac %.6g (%llu of %llu operations)\n",
                 ratio(double(ctx.failed()), double(ctx.attempted())),
                 static_cast<unsigned long long>(ctx.failed()),

@@ -147,6 +147,23 @@ isolated(const std::string& label, std::uint64_t seed)
     return spec;
 }
 
+/**
+ * The run budget of every timed campaign and recording.  On a shared
+ * host the code runs at full speed only in bursts of tens of
+ * milliseconds, so only requests about that short have repetitions at
+ * full speed; a Table I budget makes a campaign 10-400 ms long.  Ten
+ * runs (up to twenty with step-8 top-up) keep every campaign under
+ * about 10 ms and still give each one golden runs and an SSP profile.
+ */
+constexpr std::size_t kBudgetRuns = 10;
+
+fc::ScenarioSpec
+budgeted(fc::ScenarioSpec spec)
+{
+    spec.opts.runs_override = kBudgetRuns;
+    return spec;
+}
+
 /** Periodic fabric demand plus a background all-reduce on device 1. */
 fc::ScenarioSpec
 contended(const std::string& label, std::uint64_t seed)
@@ -174,9 +191,13 @@ contended(const std::string& label, std::uint64_t seed)
 
 /**
  * paper_campaigns and contended_campaigns: each round profiles every
- * label `seeds` times on fresh seeds, one campaign per request, through
- * CampaignRunner(1).  Enough seeds that a round has 40+ request slots,
- * which a p75 tail with ten slots beyond it needs.
+ * label at `seeds` seeds derived from --seed, one campaign per request,
+ * through CampaignRunner(1).  Every round repeats the same specs, so a
+ * slot's fastest repetition is the code's speed on that spec; few seeds
+ * keep a round short enough for many repetitions in a run.  A batch is
+ * every label at one seed: campaign costs differ by 20x between labels
+ * and 3x between seeds of one label, so a percentile over single
+ * campaigns would jump between labels from seed to seed.
  */
 class CampaignWorkload final : public Workload {
   public:
@@ -188,13 +209,26 @@ class CampaignWorkload final : public Workload {
     {
     }
 
-    double tailP() const override { return 75.0; }
+    std::uint64_t
+    batchOf(std::uint64_t slot) const override
+    {
+        return slot / labels_.size();
+    }
 
+    /**
+     * A fresh runner warmed up on one batch: every label once, at a
+     * seed independent of --seed.  Tens of milliseconds, so the median
+     * set-up moves smoothly with the host's load instead of jumping
+     * between its two speeds.
+     */
     void
     setup(Ctx&) override
     {
         runner_ = std::make_unique<fc::CampaignRunner>(1);
-        runner_->run(std::vector<fc::ScenarioSpec>{fixedSpec()}, config());
+        std::vector<fc::ScenarioSpec> warm;
+        for (const auto& label : labels_)
+            warm.push_back(budgeted(make_(label, 11)));
+        runner_->run(warm, config());
     }
 
     void
@@ -210,8 +244,8 @@ class CampaignWorkload final : public Workload {
         const std::size_t n = seeds_ * labels_.size();
         const std::size_t rechecked = (index * 5) % n;
         for (std::size_t i = 0; i < n; ++i) {
-            const auto spec = make_(labels_[i % labels_.size()],
-                                    specSeed(ctx.opts().seed, index, i));
+            const auto spec = budgeted(make_(labels_[i % labels_.size()],
+                                             specSeed(ctx.opts().seed, 0, i)));
             fc::ProfileSet set;
             double profile_s = 0.0;
             ctx.request("campaign", i, [&] {
@@ -225,6 +259,7 @@ class CampaignWorkload final : public Workload {
             ctx.delivered(set, true);
             ctx.addPoint();
             ctx.mixDigest(digest(set));
+            ctx.sameAsFirst(digest(set), "campaign " + spec.label);
             bool ok = wellFormed(set, spec.label, true);
             if (i == rechecked) {
                 Scope s("recheck runOne", layer::kCheck);
@@ -334,14 +369,25 @@ class CampaignWorkload final : public Workload {
 
 class KnobSweep final : public Workload {
   public:
-    double tailP() const override { return 99.0; }
+    /** A batch is one kernel's sweep: its recording, every restitch
+     *  point and every autotune.  Single points cost 10 us to 1 ms
+     *  depending on the recording a seed gives, so a tail over points
+     *  would move with the seed. */
+    std::uint64_t
+    batchOf(std::uint64_t slot) const override
+    {
+        return slot / kSlotStride;
+    }
 
     void
     setup(Ctx&) override
     {
-        auto rec = fc::RecordedCampaign::record(isolated("AG-1GB", 11),
-                                                extraWindows(), config());
-        (void)rec.restitch();
+        // One recording and its whole sweep, at a seed independent of
+        // --seed: tens of milliseconds, like the campaign workloads'.
+        auto rec = fc::RecordedCampaign::record(
+            budgeted(isolated("AG-1GB", 11)), extraWindows(), config());
+        for (const auto& p : sweepPoints(rec))
+            (void)rec.restitch(p);
     }
 
     void
@@ -368,41 +414,42 @@ class KnobSweep final : public Workload {
         const std::size_t kernel = (index / 2) % kLabels.size();
         const std::string& label = kLabels[kernel];
         const std::uint64_t slot0 = kernel * kSlotStride;
-        const auto s = isolated(label, specSeed(ctx.opts().seed, index, 0));
+        const auto s =
+            budgeted(isolated(label, specSeed(ctx.opts().seed, 0, kernel)));
         std::optional<fc::RecordedCampaign> rec;
-        ctx.request("record", slot0, [&] {
+        const double record_ms = ctx.request("record", slot0, [&] {
             Scope span("RecordedCampaign::record", layer::kRecorded);
-            const std::int64_t t0 = nowNs();
             rec.emplace(fc::RecordedCampaign::record(s, extraWindows(),
                                                      config()));
-            const double ms = msSince(t0);
-            ctx.sample("recorded_campaign.record_ms", ms);
-            ctx.add("recorded_campaign.record_s", ms / 1e3);
         });
         if (!rec)
             return;
         ctx.addCampaign();
+        if (ctx.traced()) {
+            ctx.sample("recorded_campaign.record_ms", record_ms);
+            ctx.add("recorded_campaign.record_s", record_ms / 1e3);
+        }
 
         const auto points = sweepPoints(*rec);
         const std::size_t rechecked = (index * 7) % points.size();
         std::optional<fc::ProfileSet> kept;
+        const std::string what = "restitch " + label;
         for (std::size_t i = 0; i < points.size(); ++i) {
             fc::ProfileSet set;
-            ctx.request("restitch", slot0 + 1 + i, [&] {
+            const double ms = ctx.request("restitch", slot0 + 1 + i, [&] {
                 Scope span("RecordedCampaign::restitch", layer::kRecorded);
-                const std::int64_t t0 = nowNs();
                 set = rec->restitch(points[i]);
-                const double ms = msSince(t0);
-                ctx.sample("recorded_campaign.restitch_us", ms * 1e3);
-                ctx.add("recorded_campaign.restitch_s", ms / 1e3);
             });
             ctx.maybeFlip(set);
             ctx.delivered(set, false);
             ctx.addPoint();
-            ctx.mixDigest(digest(set));
-            ctx.check(wellFormed(set, label, false),
-                      "restitch " + label + " output check");
+            const std::uint64_t d = digest(set);
+            ctx.mixDigest(d);
+            ctx.sameAsFirst(d, what);
+            ctx.check(wellFormed(set, label, false), what);
             if (ctx.traced()) {
+                ctx.sample("recorded_campaign.restitch_us", ms * 1e3);
+                ctx.add("recorded_campaign.restitch_s", ms / 1e3);
                 ctx.add("recorded_campaign.points",
                         static_cast<double>(set.sse.size() + set.ssp.size() +
                                             set.timeline.size()));
@@ -422,15 +469,16 @@ class KnobSweep final : public Workload {
             });
             ctx.addPoint();
             ctx.mixDigest(tuned.runs_needed * 1315423911u + w);
+            ctx.sameAsFirst(tuned.runs_needed, "autotune " + label);
             ctx.check(tuned.pool_runs == rec->runCount() &&
                           tuned.runs_needed <= tuned.pool_runs &&
                           tuned.window_index == w,
-                      "autotune " + label + " output check");
+                      "autotune " + label);
         }
         Scope recheck("recheck restitch", layer::kCheck);
         ctx.check(kept && fc::identicalProfileSets(
                               *kept, rec->restitch(points[rechecked])),
-                  "restitch " + label + " repeats bit for bit");
+                  what + " repeats bit for bit");
     }
 
   private:
@@ -485,8 +533,6 @@ class KnobSweep final : public Workload {
 class RepeatFleet final : public Workload {
   public:
     ~RepeatFleet() override { removeStore(); }
-
-    double tailP() const override { return 95.0; }
 
     void
     prepare(Ctx& ctx) override
@@ -593,7 +639,9 @@ class RepeatFleet final : public Workload {
      *  parallel worker widened the run-to-run spread. */
     static constexpr std::size_t kFresh = 2;
     static constexpr std::size_t kRepeats = 4;  ///< repeats per batch
-    static constexpr std::size_t kBatches = 40; ///< batches per round
+    /** Batches per round: few enough that every batch shape repeats
+     *  often in a run, since a slot stands for its fastest repetition. */
+    static constexpr std::size_t kBatches = 20;
 
     static fc::ScenarioSpec
     fresh(std::size_t j, std::uint64_t seed)
@@ -613,8 +661,9 @@ class RepeatFleet final : public Workload {
     {
         // Fresh and repeated specs interleaved.  Repeats are drawn with
         // replacement from the large pool, the same draw for batch b of
-        // every round, so slot b keeps its shape while fresh seeds change.
-        fingrav::support::Rng pick(specSeed(ctx.opts().seed, 0, 1000 + b));
+        // every round and every --seed, so slot b keeps its shape (and
+        // its memory and disk hits) while the specs' seeds change.
+        fingrav::support::Rng pick(specSeed(0, 0, 1000 + b));
         std::vector<fc::ScenarioSpec> specs;
         std::vector<long> ref_of;  ///< pool index, -1 = fresh
         for (std::size_t k = 0; k < kFresh + kRepeats; ++k) {
@@ -768,7 +817,7 @@ makeWorkload(const std::string& name)
             std::vector<std::string>{"AG-64KB", "AG-128KB", "AG-512MB",
                                      "AG-1GB", "AR-64KB", "AR-128KB",
                                      "AR-512MB", "AR-1GB"},
-            5, contended, "AG-64KB", kCanaryContended);
+            3, contended, "AG-64KB", kCanaryContended);
     }
     if (name == "knob_sweep")
         return std::make_unique<KnobSweep>();
