@@ -5,8 +5,8 @@
  *
  * Two scenarios quantify the memoization leg of the scaling story (the
  * fourth, after event-driven stepping, parallel node stepping, and
- * distributed sharding): re-running a sweep whose results are already
- * in the store must cost retrieval, not simulation.
+ * multi-process execution): re-running a sweep whose results are
+ * already in the store must cost retrieval, not simulation.
  *
  *  1. warm_sweep — the Fig. 10 scenario set executed cold (populating
  *     a fresh store) and again warm through the same cache instance

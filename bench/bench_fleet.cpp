@@ -1,22 +1,27 @@
 /**
  * @file
- * Persistent-fleet benchmark: cost-scheduled pull dispatch vs one-shot
- * round-robin sharding, with bit-identity verification throughout.
+ * Persistent-fleet benchmark: cost-scheduled pull dispatch vs static
+ * round-robin partitioning, with bit-identity verification throughout.
  *
- * Three scenarios track the fifth leg of the scaling story (after
- * event-driven stepping, parallel node stepping, campaign threading and
- * multi-process sharding):
+ * Three scenarios track the multi-process leg of the scaling story
+ * (after event-driven stepping, parallel node stepping and campaign
+ * threading):
  *
  *  1. skewed_makespan — a campaign set with one long scenario buried
  *     among short ones, self-tuned so the heavy spec's wall clock is
- *     comparable to the whole light tail.  Round-robin partitioning
- *     (ShardBackend, 2 workers) straggles: whichever shard draws the
- *     heavy spec also drags half the lights behind it.  Cost-scheduled
- *     pull dispatch (FleetBackend, 2 workers) starts the heavy spec
- *     first and streams the lights through the other worker, so the
- *     makespan collapses toward max(heavy, lights).  Any bitwise
- *     divergence from the serial reference is a hard failure; the
- *     makespan_speedup metric gates the >= 1.3x claim.
+ *     comparable to the whole light tail.  A static 2-way round-robin
+ *     partition straggles: whichever half draws the heavy spec also
+ *     drags half the lights behind it.  Cost-scheduled pull dispatch
+ *     (FleetBackend, 2 workers) starts the heavy spec first and streams
+ *     the lights through the other worker, so the makespan collapses
+ *     toward max(heavy, lights).  Any bitwise divergence from the
+ *     serial reference is a hard failure.  Two floors gate the >= 1.3x
+ *     claim, both against the round-robin partition's bottleneck
+ *     replayed from the measured per-spec costs (a lower bound on any
+ *     real round-robin run: no spawn, wire or codec cost): the fleet's
+ *     replayed schedule (makespan_speedup, any host) and the fleet's
+ *     measured wall clock, spawns and wire included
+ *     (wall_makespan_ratio, gated when hardware_concurrency >= 2).
  *
  *  2. spawn_amortization — five back-to-back dispatches through ONE
  *     FleetBackend vs the placement-matched in-process reference.  The
@@ -32,10 +37,10 @@
  * Results go to BENCH_fleet.json via tools/bench_json.hpp; CI feeds the
  * file through tools/bench_regression.py (docs/PERFORMANCE.md).
  *
- * Usage: bench_fleet [--smoke] [--out PATH] [--worker PATH]
+ * Usage: bench_fleet [--smoke] [--out PATH] [--cli PATH]
  *   --smoke   reduced budgets (CI)
  *   --out     output JSON path (default BENCH_fleet.json)
- *   --worker  fingrav_cli binary (default: next to this executable)
+ *   --cli     fingrav_cli binary (default: next to this executable)
  */
 
 #include <algorithm>
@@ -49,7 +54,6 @@
 
 #include "fingrav/campaign_runner.hpp"
 #include "fingrav/execution_backend.hpp"
-#include "fingrav/shard_backend.hpp"
 #include "fingrav/worker_fleet.hpp"
 #include "support/fault_injector.hpp"
 #include "tests/test_fixtures.hpp"
@@ -81,15 +85,6 @@ makeSpec(const char* label, std::size_t runs, std::uint64_t seed)
     spec.opts.runs_override = runs;
     spec.opts.collect_extra_runs = false;
     return spec;
-}
-
-fc::ShardOptions
-shardOptions(std::size_t shards)
-{
-    fc::ShardOptions opts;
-    opts.shards = shards;
-    opts.worker_command = {g_cli_path, "--worker"};
-    return opts;
 }
 
 fc::FleetOptions
@@ -165,11 +160,6 @@ runSkewedMakespan(tools::BenchReport& report, bool smoke)
     for (const double c : costs)
         serial_ms += c;
 
-    auto rr_backend = std::make_shared<fc::ShardBackend>(shardOptions(2));
-    const auto t_rr0 = std::chrono::steady_clock::now();
-    const auto rr = fc::CampaignRunner(rr_backend).run(specs);
-    const double rr_ms = wallMs(t_rr0);
-
     auto fleet_backend =
         std::make_shared<fc::FleetBackend>(fleetOptions(2));
     const auto t_fleet0 = std::chrono::steady_clock::now();
@@ -178,10 +168,6 @@ runSkewedMakespan(tools::BenchReport& report, bool smoke)
     const auto& stats = fleet_backend->lastStats();
 
     bool ok = true;
-    if (!identicalSets(serial, rr)) {
-        std::cerr << "FAIL: round-robin results diverged from serial\n";
-        ok = false;
-    }
     if (!identicalSets(serial, fleet)) {
         std::cerr << "FAIL: fleet results diverged from serial\n";
         ok = false;
@@ -195,7 +181,7 @@ runSkewedMakespan(tools::BenchReport& report, bool smoke)
     // Schedule-quality gate, hardware-independent: replay the fleet's
     // ACTUAL dispatch order (pull = greedy earliest-free seat) against
     // the measured per-spec costs and compare with the static
-    // round-robin partition's bottleneck shard.  This is the makespan
+    // round-robin partition's bottleneck half.  This is the makespan
     // the two schedules impose on parallel hardware, and it must clear
     // the 1.3x floor on any host.
     if (stats.dispatch_order.size() != specs.size()) {
@@ -204,10 +190,10 @@ runSkewedMakespan(tools::BenchReport& report, bool smoke)
                   << " specs; expected exactly one dispatch each\n";
         ok = false;
     }
-    double shard_load[2] = {0.0, 0.0};
+    double half_load[2] = {0.0, 0.0};
     for (std::size_t slot = 0; slot < costs.size(); ++slot)
-        shard_load[slot % 2] += costs[slot];
-    const double rr_sched_ms = std::max(shard_load[0], shard_load[1]);
+        half_load[slot % 2] += costs[slot];
+    const double rr_sched_ms = std::max(half_load[0], half_load[1]);
     double seat_load[2] = {0.0, 0.0};
     for (const std::size_t slot : stats.dispatch_order) {
         if (slot < costs.size())
@@ -225,31 +211,36 @@ runSkewedMakespan(tools::BenchReport& report, bool smoke)
                   << " ms)\n";
     }
 
-    // The measured wall-clock ratio needs the cores to exist: on a
-    // host that can't actually run two workers side by side the wall
-    // times collapse onto total work, so the floor follows the
-    // bench_campaign convention and gates only with the hardware.
+    // The measured fleet wall clock, spawns and wire included, against
+    // the same replayed round-robin bottleneck: that bound charges the
+    // partition nothing for processes or codec, so clearing it is
+    // harder than beating a real round-robin run.  The ratio needs the
+    // cores to exist: on a host that can't run two workers side by
+    // side the fleet's wall collapses onto total work, so the floor
+    // follows the bench_campaign convention and gates only with the
+    // hardware.
     const std::size_t hw = std::thread::hardware_concurrency();
-    const double wall_speedup = fleet_ms > 0.0 ? rr_ms / fleet_ms : 0.0;
+    const double wall_speedup =
+        fleet_ms > 0.0 ? rr_sched_ms / fleet_ms : 0.0;
     const bool wall_gated = hw >= 2;
     const bool wall_floor_met = wall_speedup >= 1.3;
     if (wall_gated && !wall_floor_met) {
         std::cerr << "FAIL: fleet wall-clock makespan speedup "
-                  << wall_speedup << "x is below the 1.3x floor (rr "
-                  << rr_ms << " ms vs fleet " << fleet_ms << " ms)\n";
+                  << wall_speedup << "x is below the 1.3x floor "
+                  << "(round-robin bottleneck " << rr_sched_ms
+                  << " ms vs fleet wall " << fleet_ms << " ms)\n";
     }
 
     auto& s = report.scenario("skewed_makespan");
     s.note("description",
-           "one heavy campaign mid-list among short ones: 2-worker "
-           "round-robin sharding vs 2-worker cost-scheduled fleet pull "
-           "dispatch, bitwise identity enforced");
+           "one heavy campaign mid-list among short ones: replayed "
+           "2-way round-robin bottleneck vs 2-worker cost-scheduled "
+           "fleet pull dispatch, bitwise identity enforced");
     s.metric("campaigns", static_cast<std::int64_t>(specs.size()));
     s.metric("heavy_runs", static_cast<std::int64_t>(heavy_runs));
     s.metric("hardware_concurrency", static_cast<std::int64_t>(hw));
     s.metric("light_tail_wall_ms", lights_ms);
     s.metric("serial_wall_ms", serial_ms);
-    s.metric("roundrobin_wall_ms", rr_ms);
     s.metric("fleet_wall_ms", fleet_ms);
     s.metric("roundrobin_schedule_ms", rr_sched_ms);
     s.metric("fleet_schedule_ms", fleet_sched_ms);
@@ -257,13 +248,14 @@ runSkewedMakespan(tools::BenchReport& report, bool smoke)
     s.metric("wall_makespan_ratio", wall_speedup);
     s.note("bit_identical", ok ? "yes" : "NO");
     s.note("floor_1_3x", sched_floor_met ? "yes" : "NO");
+    s.note("wall_floor_1_3x", wall_floor_met ? "yes" : "NO");
     s.note("wall_floor_gated", wall_gated ? "yes" : "no (single core)");
 
     std::cout << "skewed_makespan: serial " << serial_ms
               << " ms; schedule makespan round-robin " << rr_sched_ms
               << " ms vs fleet " << fleet_sched_ms << " ms ("
-              << sched_speedup << "x); wall round-robin " << rr_ms
-              << " ms vs fleet " << fleet_ms << " ms (" << wall_speedup
+              << sched_speedup << "x); fleet wall " << fleet_ms
+              << " ms vs round-robin bottleneck (" << wall_speedup
               << "x, " << hw << " hw); heavy runs " << heavy_runs
               << "; bit-identical: " << (ok ? "yes" : "NO") << "\n";
     return ok && sched_floor_met && (!wall_gated || wall_floor_met);
@@ -441,11 +433,11 @@ main(int argc, char** argv)
             smoke = true;
         } else if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
-        } else if (arg == "--worker" && i + 1 < argc) {
+        } else if (arg == "--cli" && i + 1 < argc) {
             g_cli_path = argv[++i];
         } else {
             std::cerr << "usage: bench_fleet [--smoke] [--out PATH] "
-                         "[--worker PATH]\n";
+                         "[--cli PATH]\n";
             return 2;
         }
     }

@@ -88,8 +88,8 @@ ThreadPoolBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
     // Nested-oversubscription guard: campaign workers multiply with each
     // node's advance-thread pool.  Node stepping is bit-identical for any
     // advance thread count, so capping only relocates work — it never
-    // changes results — and keeps distributed-sharding-sized campaign
-    // sets from drowning the host in threads.
+    // changes results — and keeps large campaign sets from drowning the
+    // host in threads.
     sim::MachineConfig effective = cfg;
     const std::size_t advance = std::max<std::size_t>(1, cfg.advance_threads);
     const unsigned hw = std::thread::hardware_concurrency();

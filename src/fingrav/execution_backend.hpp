@@ -16,15 +16,15 @@
  *    a support::ThreadPool, one fresh node per campaign, with the
  *    nested-oversubscription guard capping per-campaign advance threads.
  *
- *  - ShardBackend (fingrav/shard_backend.hpp): specs partitioned into
- *    shards and dispatched to worker *processes* over the codec wire
- *    format, with an in-process fallback for failed workers.
+ *  - FleetBackend (fingrav/worker_fleet.hpp): specs pulled one at a
+ *    time by resident worker *processes* over the codec wire format,
+ *    supervised, with an in-process fallback for failed workers.
  *
  * Backend admissibility: execute() must return exactly specs.size()
  * results with results[i] produced from specs[i], each bit-identical to
  * CampaignRunner::runOne(specs[i], cfg).  Placement — threads,
  * processes, machines, retry and completion order — must be invisible
- * in the results (tests/shard_test.cpp, bench_shard's hard-fail gate).
+ * in the results (tests/fleet_test.cpp, bench_fleet's hard-fail gate).
  */
 
 #include <cstddef>
@@ -45,7 +45,7 @@ class ExecutionBackend {
   public:
     virtual ~ExecutionBackend() = default;
 
-    /** Short placement name for diagnostics ("thread-pool", "shard"). */
+    /** Short placement name for diagnostics ("thread-pool", "fleet"). */
     virtual const char* name() const = 0;
 
     /** Execute every spec; results in spec order (see contract above). */

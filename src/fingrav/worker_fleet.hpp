@@ -3,12 +3,13 @@
 
 /**
  * @file
- * Persistent worker fleet with cost-aware pull dispatch.
+ * Persistent worker fleet with cost-aware pull dispatch: the one
+ * subprocess execution backend.
  *
- * ShardBackend re-pays spawn + handshake on every execute() and
- * partitions specs by static round-robin, so one long scenario
- * straggles its whole shard while other workers sit idle.  This file
- * replaces both costs:
+ * Spawning workers per run would re-pay spawn + handshake on every
+ * execute(), and a static round-robin partition lets one long scenario
+ * straggle its whole partition while other workers sit idle.  This file
+ * avoids both costs:
  *
  *  - **WorkerFleet** keeps `fingrav_cli --serve` subprocesses resident
  *    across dispatches.  A serve worker's loop (runtime/shard_worker)
@@ -30,9 +31,9 @@
  *    ThreadPoolBackend for any fleet size (tests/fleet_test.cpp,
  *    bench_fleet's hard-fail gate).
  *
- * Supervision (rehosted from ShardBackend, same taxonomy): a worker
- * that dies, stalls past its I/O budget, or streams corruption forfeits
- * only the one spec it was running.  The slot re-queues under seeded
+ * Supervision (taxonomy in support/run_journal.hpp): a worker that
+ * dies, stalls past its I/O budget, or streams corruption forfeits only
+ * the one spec it was running.  The slot re-queues under seeded
  * exponential backoff, a replacement worker is spawned into the same
  * fleet seat, and a spec that kills `quarantine_deaths` workers is
  * quarantined to the in-process path.  Slots that exhaust
@@ -76,13 +77,19 @@ struct FleetOptions {
      *  concurrency.  Results are bit-identical for any value. */
     std::size_t fallback_threads = 0;
 
-    /** Per-syscall I/O inactivity timeout, ms; 0 waits forever (see
-     *  ShardOptions::io_timeout_ms — same semantics per frame read). */
+    /**
+     * Per-syscall I/O inactivity timeout, ms: a busy worker whose pipe
+     * moves no bytes for this long is treated as dead — its process
+     * group is killed and its outstanding spec forfeited to the
+     * supervisor.  0 (the default) waits forever: a legitimate spec may
+     * compute for arbitrarily long before its result frame, so only
+     * deployments that know their per-spec ceiling should set it.
+     */
     long io_timeout_ms = 0;
 
     /** Per-spec wall-clock deadline, ms, armed when the spec is sent;
-     *  0 disables.  One spec per request makes this exact, not the
-     *  `x slots` approximation the shard drain needs. */
+     *  exceeding it forfeits the spec even if bytes are still
+     *  trickling.  0 disables. */
     long spec_deadline_ms = 0;
 
     /** Keepalive probe budget, ms: how long an idle resident gets to
@@ -235,9 +242,10 @@ class WorkerFleet {
 /**
  * Cost-scheduled placement over a persistent WorkerFleet.
  *
- * Not reentrant (same contract as ShardBackend): execute() accumulates
- * lastStats() and drives the fleet's pipes, so one instance serves one
- * run at a time; overlap is a FatalError.  The fleet lives as long as
+ * Not reentrant: execute() accumulates lastStats() and drives the
+ * fleet's pipes, so one instance serves one run at a time — concurrent
+ * drivers should hold one FleetBackend each; overlap is a FatalError
+ * rather than silently interleaved stats.  The fleet lives as long as
  * the backend — back-to-back execute() calls reuse the residents, which
  * is the spawn-amortization win bench_fleet measures.
  */
@@ -270,9 +278,9 @@ class FleetBackend final : public ExecutionBackend {
 
 /**
  * The default fleet-worker argv for a driver whose own executable path
- * is `argv0`: {"<dir(argv0)>/fingrav_cli", "--serve"} (the CLI itself
- * gets {argv0, "--serve"}) — the persistent sibling of
- * defaultWorkerCommand().
+ * is `argv0`: {"<dir(argv0)>/fingrav_cli", "--serve"} — benches, tests
+ * and the CLI all sit next to fingrav_cli in the build tree; the CLI
+ * itself gets {argv0, "--serve"}.
  */
 std::vector<std::string> defaultServeCommand(const std::string& argv0);
 

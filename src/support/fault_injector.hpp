@@ -7,9 +7,9 @@
  * path.
  *
  * Before this existed every fault test wired its own one-off hack: a
- * `spawn_hook` on ShardOptions to SIGKILL workers, `/bin/sh -c` stand-in
- * worker commands that printf garbage or sleep forever, hand-rolled blob
- * mutation against the cache store.  Those hacks exercised real failure
+ * spawn hook on the backend options to SIGKILL workers, `/bin/sh -c`
+ * stand-in worker commands that printf garbage or sleep forever,
+ * hand-rolled blob mutation against the cache store.  Those hacks exercised real failure
  * paths but could not compose, could not run end-to-end through the CLI,
  * and left the production binary with test-only seams.
  *
@@ -35,15 +35,20 @@
  *   value   := non-negative integer | '*'            ('*' = match any)
  *
  * Examples:
- *   kill:shard=0,frame=1          worker on shard 0, first attempt,
+ *   kill:shard=0,frame=1          worker in fleet seat 0, first spawn,
  *                                 dies after delivering one result
- *   kill:shard=0,attempt=*        every worker ever launched for shard 0
+ *   kill:shard=0,attempt=*        every worker ever spawned into seat 0
  *                                 dies before its first result (drives
  *                                 a spec into quarantine)
  *   spawn-fail:times=3            the next three spawns fail (drives
  *                                 crash-loop detection)
  *   stall:frame=0,ms=2000         worker sleeps 2 s before its first
  *                                 result (trips the io timeout)
+ *
+ * Driver coordinates: `shard` names a core::WorkerFleet seat and
+ * `attempt` that seat's spawn generation (the key keeps its name, so
+ * plans written against it stay valid).  `frame` counts the result
+ * frames a worker writes over its lifetime.
  *
  * Faults fire deterministically: an action matches on exact
  * (shard, attempt, frame) coordinates — never on timing or randomness —
@@ -89,8 +94,8 @@ struct FaultAction {
     static constexpr long kAny = -1;
 
     FaultKind kind = FaultKind::kKillWorker;
-    long shard = kAny;    ///< which shard's worker (driver coordinates)
-    long attempt = 0;     ///< which (re)launch; retries get fresh workers
+    long shard = kAny;    ///< which fleet seat's worker (driver coordinates)
+    long attempt = 0;     ///< which (re)spawn; retries get fresh workers
     long frame = 0;       ///< which result frame (worker coordinates)
     long stall_ms = 2000; ///< kStallPipe only: sleep duration
     long times = 1;       ///< fire at most this many times (0 = never)

@@ -18,7 +18,7 @@
 #include "fingrav/energy.hpp"
 #include "fingrav/profile.hpp"
 #include "fingrav/profiler.hpp"
-#include "fingrav/shard_backend.hpp"
+#include "fingrav/worker_fleet.hpp"
 #include "kernels/workloads.hpp"
 #include "runtime/host_runtime.hpp"
 #include "sim/machine_config.hpp"
@@ -176,26 +176,26 @@ TEST(FailureInjection, TinyRunBudgetDegradesGracefully)
     }
 }
 
-TEST(FailureInjection, WorkerDeathMidShardStaysBitIdenticalAndJournaled)
+TEST(FailureInjection, WorkerDeathMidDispatchStaysBitIdenticalAndJournaled)
 {
-    // Shard 1's worker is scripted to die before delivering anything.
-    // The supervisor redispatches on a fresh worker; the output must be
-    // bit-identical to the serial loop and the death must be journaled —
-    // a silent degradation is itself a failure.
+    // Fleet seat 1's first worker is scripted to die before delivering
+    // anything.  The supervisor redispatches on a fresh worker; the
+    // output must be bit-identical to the serial loop and the death
+    // must be journaled — a silent degradation is itself a failure.
     auto specs = fingrav::testing::fig10Specs(6);
     specs.resize(4);
     const auto serial = fc::CampaignRunner(1).run(specs);
 
-    fc::ShardOptions opts;
-    opts.shards = 2;
-    opts.worker_command = fingrav::testing::cliWorkerCommand();
+    fc::FleetOptions opts;
+    opts.workers = 2;
+    opts.worker_command = fingrav::testing::cliServeCommand();
     opts.backoff_base_ms = 1;
     opts.fault_plan = fs::FaultPlan::parse("kill:shard=1,frame=0");
-    auto backend = std::make_shared<fc::ShardBackend>(opts);
-    const auto sharded = fc::CampaignRunner(backend).run(specs);
+    auto backend = std::make_shared<fc::FleetBackend>(opts);
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
 
-    fingrav::testing::expectAllIdentical(serial, sharded, specs,
-                                         "worker death mid-shard");
+    fingrav::testing::expectAllIdentical(serial, fleet, specs,
+                                         "worker death mid-dispatch");
     const auto& journal = backend->lastStats().journal;
     EXPECT_FALSE(journal.empty()) << "worker death must be journaled";
     EXPECT_GE(journal.count(fs::DegradeKind::kWorkerDeath), 1u);
@@ -204,21 +204,21 @@ TEST(FailureInjection, WorkerDeathMidShardStaysBitIdenticalAndJournaled)
 TEST(FailureInjection, CorruptResultFrameStaysBitIdenticalAndJournaled)
 {
     // A bit-flipped result frame must be rejected by the frame checksum
-    // — never decoded into a result — and the forfeited slots must come
+    // — never decoded into a result — and the forfeited spec must come
     // back bit-identical through a retry, with the corruption journaled.
     auto specs = fingrav::testing::fig10Specs(6);
     specs.resize(2);
     const auto serial = fc::CampaignRunner(1).run(specs);
 
-    fc::ShardOptions opts;
-    opts.shards = 1;
-    opts.worker_command = fingrav::testing::cliWorkerCommand();
+    fc::FleetOptions opts;
+    opts.workers = 1;
+    opts.worker_command = fingrav::testing::cliServeCommand();
     opts.backoff_base_ms = 1;
     opts.fault_plan = fs::FaultPlan::parse("corrupt:shard=0,frame=0");
-    auto backend = std::make_shared<fc::ShardBackend>(opts);
-    const auto sharded = fc::CampaignRunner(backend).run(specs);
+    auto backend = std::make_shared<fc::FleetBackend>(opts);
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
 
-    fingrav::testing::expectAllIdentical(serial, sharded, specs,
+    fingrav::testing::expectAllIdentical(serial, fleet, specs,
                                          "corrupt result frame");
     const auto& journal = backend->lastStats().journal;
     EXPECT_FALSE(journal.empty()) << "frame corruption must be journaled";

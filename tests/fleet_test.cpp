@@ -2,32 +2,50 @@
  * @file
  * FleetBackend determinism and supervision contract: persistent
  * workers, cost-ordered pull dispatch, and mid-dispatch replacement
- * must all be invisible in the results.
+ * must all be invisible in the results, even while workers are dying
+ * under fault injection.
  *
  * The gates, in order of importance:
  *  - N-worker fleet execution (1/2/4 residents) is bitwise equal to
  *    ThreadPoolBackend and to the serial loop on the Fig. 10 set and on
  *    a skewed-cost mix (runs_override spread) — placement, pull order
  *    and worker count are invisible;
- *  - a worker killed mid-dispatch (scripted via --fault-plan) is
- *    replaced in its seat, only the outstanding spec redispatches, and
- *    results stay bit-identical with the death + retry journaled;
+ *  - every scripted fault (worker kill, corrupt frame, stall, spawn
+ *    failure, missing binary — support/fault_injector.hpp) is survived
+ *    bit-identically: the seat is refilled by a fresh worker and only
+ *    the outstanding spec redispatches where the budget allows, the
+ *    in-process fallback takes over where it does not, and every
+ *    degradation lands in FleetStats::journal — never silent;
+ *  - the redispatch backoff schedule is a pure function of
+ *    FleetOptions: same seed + same fault plan => same schedule and
+ *    same journal, across repeated runs and across 1/2/4 workers;
+ *  - poisoned specs are quarantined instead of killing fresh workers
+ *    forever; consecutive spawn failures trip the crash-loop guard;
  *  - back-to-back execute() calls reuse the residents: the second
  *    dispatch spawns zero workers (the amortization bench_fleet
  *    measures, asserted here deterministically);
  *  - dispatch order is longest-predicted-first per core::CostModel —
  *    the cost-model scheduling observable;
- *  - crash-looping spawns disable the fleet and everything falls back
- *    in-process, loudly and bit-identically.
+ *  - overlapping execute() calls on one instance raise a loud
+ *    FatalError instead of corrupting stats silently;
+ *  - the CLI rejects unknown flags with the usage text and a nonzero
+ *    exit.
  *
  * The worker binary is the real `fingrav_cli --serve`, resolved via the
- * FINGRAV_CLI_PATH compile definition, so these tests exercise the
+ * FINGRAV_CLI_PATH compile definition; injected worker-side faults ride
+ * to it as a derived `--fault-plan` argv, so these tests exercise the
  * genuine persistent-subprocess machinery end to end.
  */
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
@@ -50,6 +68,7 @@ namespace fs = fingrav::support;
 
 namespace {
 
+using fingrav::testing::cliServeCommand;
 using fingrav::testing::expectAllIdentical;
 using fs::DegradeKind;
 
@@ -58,13 +77,6 @@ std::vector<fc::ScenarioSpec>
 fig10Specs()
 {
     return fingrav::testing::fig10Specs(6);
-}
-
-/** The real persistent worker command (fingrav_cli --serve). */
-std::vector<std::string>
-serveWorker()
-{
-    return {FINGRAV_CLI_PATH, "--serve"};
 }
 
 /**
@@ -104,11 +116,20 @@ fleetOptions(std::size_t workers, const char* plan = "")
 {
     fc::FleetOptions opts;
     opts.workers = workers;
-    opts.worker_command = serveWorker();
+    opts.worker_command = cliServeCommand();
     opts.backoff_base_ms = 1;
     if (plan[0] != '\0')
         opts.fault_plan = fs::FaultPlan::parse(plan);
     return opts;
+}
+
+/** Seconds since `t0` on the steady clock. */
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
 }
 
 }  // namespace
@@ -293,6 +314,225 @@ TEST(FleetBackend, CrashLoopDisablesFleetForItsLifetime)
     EXPECT_TRUE(backend->fleet().disabled());
 }
 
+TEST(FleetBackend, RetryBudgetExhaustionFallsBackLoudly)
+{
+    // Every worker dies before its first result, generation after
+    // generation; with quarantine effectively off, each slot's retry
+    // budget runs dry and every slot must land on the in-process path —
+    // journaled, bit-identical.  Each of the four slots is dispatched
+    // exactly twice (first try + one retry), so the counts are exact.
+    auto specs = fig10Specs();
+    specs.resize(4);
+    const auto serial = fc::CampaignRunner(1).run(specs);
+
+    auto opts = fleetOptions(2, "kill:frame=0,attempt=*,times=*");
+    opts.max_retries = 1;
+    opts.quarantine_deaths = 99;
+    auto backend = std::make_shared<fc::FleetBackend>(opts);
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
+    expectAllIdentical(serial, fleet, specs, "retry budget exhausted");
+
+    const auto& stats = backend->lastStats();
+    EXPECT_EQ(stats.remote_specs, 0u);
+    EXPECT_EQ(stats.fallback_specs, specs.size());
+    EXPECT_EQ(stats.retried_specs, specs.size());
+    EXPECT_EQ(stats.backoff_ms.size(), specs.size());
+    EXPECT_EQ(stats.worker_failures, 2 * specs.size());
+    EXPECT_EQ(stats.quarantined_specs, 0u);
+    EXPECT_EQ(stats.journal.count(DegradeKind::kWorkerDeath),
+              2 * specs.size());
+    EXPECT_EQ(stats.journal.count(DegradeKind::kRetry), specs.size());
+    EXPECT_EQ(stats.journal.count(DegradeKind::kQuarantine), 0u);
+    EXPECT_EQ(stats.journal.count(DegradeKind::kFallback), 1u);
+    EXPECT_FALSE(stats.journal.empty());
+}
+
+TEST(FleetBackend, CorruptResultFrameForfeitsAndRetries)
+{
+    // A bit flip in the resident's second result frame: the checksum
+    // must reject it, the first result (already delivered) is kept, and
+    // only the corrupted spec redispatches to a fresh worker in the
+    // same seat.  Nothing corrupt is ever decoded into a result.
+    auto specs = fig10Specs();
+    specs.resize(3);
+    const auto serial = fc::CampaignRunner(1).run(specs);
+
+    auto backend = std::make_shared<fc::FleetBackend>(
+        fleetOptions(1, "corrupt:shard=0,frame=1"));
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
+    expectAllIdentical(serial, fleet, specs, "corrupt result frame");
+
+    const auto& stats = backend->lastStats();
+    EXPECT_EQ(stats.remote_specs, specs.size());
+    EXPECT_EQ(stats.fallback_specs, 0u);
+    EXPECT_EQ(stats.worker_failures, 1u);
+    EXPECT_EQ(stats.retried_specs, 1u);
+    EXPECT_EQ(stats.workers_spawned, 2u);
+    EXPECT_EQ(stats.journal.count(DegradeKind::kFrameCorruption), 1u);
+    EXPECT_EQ(stats.journal.count(DegradeKind::kRetry), 1u);
+}
+
+TEST(FleetBackend, StalledWorkerTripsInactivityTimeoutAndRetries)
+{
+    // A worker that stays alive but stops making progress must trip the
+    // opt-in inactivity timeout, be killed, and its spec redispatched
+    // — a stalled-but-alive resident must never hang execute().
+    auto specs = fig10Specs();
+    specs.resize(2);
+    const auto serial = fc::CampaignRunner(1).run(specs);
+
+    auto opts = fleetOptions(1, "stall:frame=0,ms=30000");
+    opts.io_timeout_ms = 500;
+    opts.max_retries = 1;
+    auto backend = std::make_shared<fc::FleetBackend>(opts);
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
+    const double wall_s = secondsSince(t0);
+    expectAllIdentical(serial, fleet, specs, "stalled worker");
+
+    const auto& stats = backend->lastStats();
+    EXPECT_EQ(stats.remote_specs, specs.size());
+    EXPECT_EQ(stats.fallback_specs, 0u);
+    EXPECT_EQ(stats.retried_specs, 1u);
+    EXPECT_EQ(stats.journal.count(DegradeKind::kTimeout), 1u);
+    EXPECT_EQ(stats.journal.count(DegradeKind::kRetry), 1u);
+    // Recovery must come from the timeout, not the 30 s stall ending.
+    EXPECT_LT(wall_s, 10.0);
+}
+
+TEST(FleetBackend, DeadlineBudgetBoundsAStalledDrain)
+{
+    // The per-spec deadline generalizes the inactivity timeout: even
+    // with no io_timeout_ms, a stalled spec must be cut off once its
+    // spec_deadline_ms budget (armed when the spec is sent) runs out,
+    // and the spec redispatched.
+    auto specs = fig10Specs();
+    specs.resize(2);
+    const auto serial = fc::CampaignRunner(1).run(specs);
+
+    auto opts = fleetOptions(1, "stall:frame=0,ms=30000");
+    opts.spec_deadline_ms = 2000;
+    opts.max_retries = 1;
+    auto backend = std::make_shared<fc::FleetBackend>(opts);
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
+    const double wall_s = secondsSince(t0);
+    expectAllIdentical(serial, fleet, specs, "deadline budget");
+
+    const auto& stats = backend->lastStats();
+    EXPECT_EQ(stats.remote_specs, specs.size());
+    EXPECT_EQ(stats.fallback_specs, 0u);
+    EXPECT_EQ(stats.journal.count(DegradeKind::kTimeout), 1u);
+    EXPECT_EQ(stats.journal.count(DegradeKind::kRetry), 1u);
+    EXPECT_LT(wall_s, 10.0);
+}
+
+TEST(FleetBackend, MissingWorkerBinaryRecoversViaFallback)
+{
+    // A real (non-injected) broken environment: exec of a nonexistent
+    // binary fails in the child after a successful fork, so the driver
+    // observes instant worker deaths.  The spec kills quarantine_deaths
+    // replacements, is quarantined, and the run degrades to the
+    // in-process path — journaled, bit-identical.
+    const std::vector<fc::ScenarioSpec> specs{fig10Specs().front()};
+    const auto serial = fc::CampaignRunner(1).run(specs);
+
+    fc::FleetOptions opts;
+    opts.workers = 1;
+    opts.worker_command = {"/nonexistent/fingrav_worker", "--serve"};
+    opts.backoff_base_ms = 1;
+    auto backend = std::make_shared<fc::FleetBackend>(opts);
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
+    expectAllIdentical(serial, fleet, specs, "missing binary");
+
+    const auto& stats = backend->lastStats();
+    EXPECT_EQ(stats.fallback_specs, specs.size());
+    EXPECT_EQ(stats.remote_specs, 0u);
+    EXPECT_EQ(stats.journal.count(DegradeKind::kWorkerDeath),
+              opts.quarantine_deaths);
+    EXPECT_EQ(stats.journal.count(DegradeKind::kQuarantine), 1u);
+    EXPECT_EQ(stats.journal.count(DegradeKind::kFallback), 1u);
+    EXPECT_FALSE(stats.journal.empty());
+}
+
+TEST(FleetBackend, RetryScheduleIsDeterministic)
+{
+    // Same options + same fault plan => the same backoff schedule, the
+    // same journal, and bit-identical results — twice in a row, and
+    // across 1/2/4 workers.  The plan is seat-pinned (seat 0's first
+    // resident dies at its first result), so exactly one redispatch
+    // happens at every fleet size, and its backoff is a pure function
+    // of (backoff_seed, redispatch index), never of placement or timing.
+    auto specs = fig10Specs();
+    specs.resize(4);
+    const auto serial = fc::CampaignRunner(1).run(specs);
+
+    auto run = [&](std::size_t workers) {
+        auto opts = fleetOptions(workers, "kill:shard=0,frame=0");
+        opts.backoff_base_ms = 5;
+        opts.backoff_seed = 42;
+        auto backend = std::make_shared<fc::FleetBackend>(opts);
+        const auto out = fc::CampaignRunner(backend).run(specs);
+        expectAllIdentical(serial, out, specs, "deterministic retry");
+        return backend->lastStats();
+    };
+
+    const auto first = run(2);
+    const auto second = run(2);
+    ASSERT_EQ(first.backoff_ms.size(), 1u);
+    EXPECT_EQ(first.backoff_ms, second.backoff_ms);
+    ASSERT_EQ(first.journal.size(), second.journal.size());
+    const auto a = first.journal.events();
+    const auto b = second.journal.events();
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].kind, b[i].kind) << "journal diverged at " << i;
+        EXPECT_EQ(a[i].detail, b[i].detail) << "journal diverged at " << i;
+    }
+
+    for (const std::size_t workers : {1u, 4u}) {
+        const auto stats = run(workers);
+        EXPECT_EQ(stats.backoff_ms, first.backoff_ms)
+            << workers << " workers";
+        EXPECT_EQ(stats.journal.count(DegradeKind::kWorkerDeath), 1u);
+        EXPECT_EQ(stats.journal.count(DegradeKind::kRetry), 1u);
+        EXPECT_EQ(stats.remote_specs, specs.size());
+    }
+}
+
+TEST(FleetBackend, ReentrantExecuteIsALoudError)
+{
+    // One instance serves one run at a time.  Re-entering execute()
+    // from inside a profile_fn (or any other nesting) must raise
+    // FatalError instead of silently interleaving stats and fleet pipes
+    // — and the owning run must complete unharmed.
+    const auto cfg = fingrav::sim::mi300xConfig();
+    auto opts = fleetOptions(1);
+    opts.fallback_threads = 1;
+    auto backend = std::make_shared<fc::FleetBackend>(opts);
+
+    std::atomic<bool> threw{false};
+    auto specs = fig10Specs();
+    specs.resize(1);
+    specs[0].profile_fn = fc::makeProfileFn(
+        [&](fingrav::runtime::HostRuntime& host,
+            const fc::ProfilerOptions& popts, fs::Rng rng) {
+            try {
+                backend->execute({}, cfg);
+            } catch (const fs::FatalError&) {
+                threw = true;
+            }
+            return fc::Profiler(host, popts, std::move(rng));
+        });
+
+    const auto out = backend->execute(specs, cfg);
+    EXPECT_EQ(out.size(), 1u);
+    EXPECT_TRUE(threw.load())
+        << "nested execute() must throw FatalError";
+
+    // The guard must release on exit: a fresh, non-nested call works.
+    EXPECT_NO_THROW(backend->execute({}, cfg));
+}
+
 TEST(FleetBackend, ProfileFnSpecsStayInProcess)
 {
     // A custom profiling procedure has no wire form; the backend must
@@ -323,7 +563,23 @@ TEST(FleetBackend, ZeroWorkersIsAUserError)
     EXPECT_THROW(fc::FleetBackend{opts}, fs::FatalError);
 }
 
-TEST(WorkerFleet, DefaultServeCommandMirrorsWorkerCommand)
+TEST(FleetBackend, WorkersBeyondSpecCountSpawnOnlySpecCount)
+{
+    // Surplus seats stay empty: a 16-seat fleet given two specs spawns
+    // exactly two residents and still ships everything over the wire.
+    auto specs = fig10Specs();
+    specs.resize(2);
+    const auto serial = fc::CampaignRunner(1).run(specs);
+
+    auto backend = std::make_shared<fc::FleetBackend>(fleetOptions(16));
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
+    expectAllIdentical(serial, fleet, specs, "surplus seats");
+    EXPECT_EQ(backend->lastStats().workers_spawned, specs.size());
+    EXPECT_EQ(backend->lastStats().workers_live, specs.size());
+    EXPECT_EQ(backend->lastStats().remote_specs, specs.size());
+}
+
+TEST(WorkerFleet, DefaultServeCommandResolvesTheCli)
 {
     const auto from_cli = fc::defaultServeCommand("/opt/bin/fingrav_cli");
     ASSERT_EQ(from_cli.size(), 2u);
@@ -334,4 +590,102 @@ TEST(WorkerFleet, DefaultServeCommandMirrorsWorkerCommand)
     ASSERT_EQ(sibling.size(), 2u);
     EXPECT_EQ(sibling[0], "/opt/bin/fingrav_cli");
     EXPECT_EQ(sibling[1], "--serve");
+}
+
+TEST(FaultPlan, ParsesWildcardsAndRoundTrips)
+{
+    const auto plan = fs::FaultPlan::parse(
+        "kill:shard=0,frame=1;spawn-fail:times=*;stall:frame=2,ms=250");
+    ASSERT_EQ(plan.actions.size(), 3u);
+    EXPECT_EQ(plan.actions[0].kind, fs::FaultKind::kKillWorker);
+    EXPECT_EQ(plan.actions[0].shard, 0);
+    EXPECT_EQ(plan.actions[0].frame, 1);
+    EXPECT_EQ(plan.actions[1].kind, fs::FaultKind::kSpawnFail);
+    EXPECT_EQ(plan.actions[1].times, fs::FaultAction::kAny);
+    EXPECT_EQ(plan.actions[2].kind, fs::FaultKind::kStallPipe);
+    EXPECT_EQ(plan.actions[2].stall_ms, 250);
+
+    // toString must round-trip through parse to the same plan text.
+    const auto text = plan.toString();
+    EXPECT_EQ(fs::FaultPlan::parse(text).toString(), text);
+}
+
+TEST(FaultPlan, MalformedPlansAreFatal)
+{
+    EXPECT_THROW(fs::FaultPlan::parse("explode"), fs::FatalError);
+    EXPECT_THROW(fs::FaultPlan::parse("kill:shard=abc"), fs::FatalError);
+    EXPECT_THROW(fs::FaultPlan::parse("kill:wibble=1"), fs::FatalError);
+}
+
+TEST(FaultPlan, WorkerSubPlanStripsDriverCoordinates)
+{
+    // The driver hands each worker the sub-plan scripted for its
+    // (shard, attempt); shard/attempt are resolved at derivation time,
+    // so the worker matches on frame index alone.
+    const fs::FaultInjector injector(
+        fs::FaultPlan::parse("kill:shard=1,frame=2;corrupt:shard=0"));
+    EXPECT_EQ(injector.workerPlan(1, 0), "kill:frame=2");
+    EXPECT_EQ(injector.workerPlan(0, 0), "corrupt");
+    EXPECT_EQ(injector.workerPlan(2, 0), "");
+    // Spawn failures are a driver-side site, never shipped to workers.
+    const fs::FaultInjector spawn(fs::FaultPlan::parse("spawn-fail"));
+    EXPECT_EQ(spawn.workerPlan(0, 0), "");
+}
+
+TEST(RunJournal, RecordsCountsAndReports)
+{
+    fs::RunJournal journal;
+    EXPECT_TRUE(journal.empty());
+    journal.record(DegradeKind::kWorkerDeath, "shard ", 0, ": died");
+    journal.record(DegradeKind::kRetry, "round 1");
+    EXPECT_EQ(journal.size(), 2u);
+    EXPECT_EQ(journal.count(DegradeKind::kWorkerDeath), 1u);
+    EXPECT_EQ(journal.count(DegradeKind::kQuarantine), 0u);
+    const auto report = journal.report();
+    EXPECT_NE(report.find("worker-death"), std::string::npos);
+    EXPECT_NE(report.find("shard 0: died"), std::string::npos);
+
+    // Copies snapshot the events (the journal rides inside FleetStats).
+    const fs::RunJournal copy = journal;
+    EXPECT_EQ(copy.size(), 2u);
+}
+
+TEST(FingravCli, UnknownFlagRejectedWithUsage)
+{
+    // The trailing-junk satellite: an unknown --flag after a command
+    // must print the usage text and exit nonzero (2), not be ignored.
+    const std::string cmd = std::string(FINGRAV_CLI_PATH) +
+                            " profile CB-2K-GEMM --frobnicate 2>&1";
+    FILE* pipe = ::popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string output;
+    char buffer[256];
+    while (std::fgets(buffer, sizeof buffer, pipe) != nullptr)
+        output += buffer;
+    const int status = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+    EXPECT_NE(output.find("unknown option '--frobnicate'"),
+              std::string::npos);
+    EXPECT_NE(output.find("usage:"), std::string::npos);
+    EXPECT_NE(output.find("--fleet"), std::string::npos)
+        << "usage text must list the fleet flag";
+    EXPECT_NE(output.find("--fault-plan"), std::string::npos)
+        << "usage text must list the fault-plan flag";
+}
+
+TEST(FingravCli, TrailingJunkAfterListRejected)
+{
+    const std::string cmd =
+        std::string(FINGRAV_CLI_PATH) + " list extra-junk 2>&1";
+    FILE* pipe = ::popen(cmd.c_str(), "r");
+    ASSERT_NE(pipe, nullptr);
+    std::string output;
+    char buffer[256];
+    while (std::fgets(buffer, sizeof buffer, pipe) != nullptr)
+        output += buffer;
+    const int status = ::pclose(pipe);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+    EXPECT_NE(output.find("usage:"), std::string::npos);
 }

@@ -6,7 +6,7 @@
  * Shared fixtures for the test and bench executables.
  *
  * One definition of the canonical campaign sets keeps the suites
- * honest: shard_test, cache_test, campaign_runner_test, bench_shard and
+ * honest: fleet_test, cache_test, campaign_runner_test, bench_fleet and
  * bench_campaign all gate bit-identity on the same specs, so a fixture
  * drift cannot silently weaken one gate relative to another.  Include
  * as "tests/test_fixtures.hpp" (the repo root is on every test's and
@@ -145,11 +145,11 @@ class TempDir {
 };
 
 #ifdef FINGRAV_CLI_PATH
-/** The real worker subprocess command (fingrav_cli --worker). */
+/** The real fleet-worker subprocess command (fingrav_cli --serve). */
 inline std::vector<std::string>
-cliWorkerCommand()
+cliServeCommand()
 {
-    return {FINGRAV_CLI_PATH, "--worker"};
+    return {FINGRAV_CLI_PATH, "--serve"};
 }
 #endif
 
