@@ -20,7 +20,13 @@
  *  2. disk_tier — a fresh cache instance over the same store directory
  *     (empty memory tier, simulating a new process) replays the sweep
  *     from disk blobs alone.  Bit-identity against the cold pass is
- *     again a hard failure; the store must survey fully valid.
+ *     again a hard failure; the store must survey fully valid.  It also
+ *     reports the median latency of one disk hit: a memory-less cache
+ *     instance looks each spec up several times, so every lookup reads,
+ *     verifies and decodes its blob.  `disk_hit_us_p50` covers the
+ *     sweep's small blobs, `large_disk_hit_us_p50` one AG-1GB result at
+ *     its Table I budget (about 0.95 MB).  Both are warn-only in the
+ *     regression gate.
  *
  * Results go to BENCH_cache.json via tools/bench_json.hpp; CI feeds the
  * file through tools/bench_regression.py (docs/PERFORMANCE.md).
@@ -39,6 +45,8 @@
 
 #include "fingrav/campaign_cache.hpp"
 #include "fingrav/campaign_runner.hpp"
+#include "sim/machine_config.hpp"
+#include "support/statistics.hpp"
 #include "tests/test_fixtures.hpp"
 #include "tools/bench_json.hpp"
 
@@ -64,6 +72,48 @@ allIdentical(const std::vector<fc::ProfileSet>& a,
         if (!fc::identicalProfileSets(a[i], b[i]))
             return false;
     return true;
+}
+
+/**
+ * Median microseconds of one disk hit.  The memory tier is disabled, so
+ * each of `rounds` passes over `specs` reads, verifies and decodes
+ * every blob; the median keeps one slow syscall from setting the
+ * figure.  `ok` turns false on a miss or a result that differs from
+ * `expected`.
+ */
+double
+diskHitUs(const std::string& dir, const std::vector<fc::ScenarioSpec>& specs,
+          const std::vector<fc::ProfileSet>& expected, int rounds,
+          double& mean_blob_bytes, bool& ok)
+{
+    fc::CacheOptions opts;
+    opts.dir = dir;
+    opts.memory_capacity_bytes = 0;
+    fc::CampaignCache probe(opts);
+    const auto cfg = fingrav::sim::mi300xConfig();
+    std::vector<double> hit_us;
+    bool identical = true;
+    for (int r = 0; r < rounds; ++r) {
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            const auto t = std::chrono::steady_clock::now();
+            const auto hit = probe.lookup(specs[i], cfg);
+            hit_us.push_back(wallMs(t) * 1.0e3);
+            identical = identical && hit.has_value() &&
+                        fc::identicalProfileSets(*hit, expected[i]);
+        }
+    }
+    const auto stats = probe.stats();
+    if (!identical || stats.disk_hits != hit_us.size()) {
+        std::cerr << "FAIL: disk-hit probe missed the store or diverged ("
+                  << stats.disk_hits << "/" << hit_us.size()
+                  << " disk hits)\n";
+        ok = false;
+    }
+    mean_blob_bytes = stats.disk_hits > 0
+                          ? static_cast<double>(stats.disk_bytes_read) /
+                                static_cast<double>(stats.disk_hits)
+                          : 0.0;
+    return fingrav::support::median(hit_us);
 }
 
 bool
@@ -184,6 +234,36 @@ runCacheSweep(tools::BenchReport& report, bool smoke)
                   << " disk hits, " << disk_stats.misses << " misses)\n";
         ok = false;
     }
+
+    // Per-hit latency, on the sweep's blobs and on one large Table I
+    // result (AG-1GB at its full run budget: the kind of blob a repeated
+    // campaign re-reads), stored in a store of its own.
+    double blob_bytes = 0.0;
+    const double hit_us_p50 =
+        diskHitUs(copts.dir, specs, cold, smoke ? 5 : 20, blob_bytes, ok);
+    fingrav::testing::TempDir large_store;
+    fc::ScenarioSpec large;
+    large.label = "AG-1GB";
+    large.seed = 907;
+    const std::vector<fc::ProfileSet> large_set = {
+        fc::CampaignRunner::runOne(large)};
+    {
+        fc::CacheOptions large_opts;
+        large_opts.dir = large_store.path();
+        fc::CampaignCache writer(large_opts);
+        writer.store(large, fingrav::sim::mi300xConfig(), large_set.front());
+    }
+    double large_bytes = 0.0;
+    const double large_us_p50 = diskHitUs(
+        large_store.path(), {large}, large_set, smoke ? 15 : 60, large_bytes,
+        ok);
+    d.metric("disk_hit_us_p50", hit_us_p50);
+    d.metric("disk_hit_blob_bytes", blob_bytes);
+    d.metric("large_disk_hit_us_p50", large_us_p50);
+    d.metric("large_disk_hit_blob_bytes", large_bytes);
+    std::cout << "disk_tier: one disk hit " << hit_us_p50 << " us median ("
+              << blob_bytes << " B mean blob), large " << large_us_p50
+              << " us (" << large_bytes << " B blob)\n";
     if (scan.valid_entries != scan.entries || scan.entries != specs.size()) {
         std::cerr << "FAIL: store survey " << scan.valid_entries << "/"
                   << scan.entries << " valid for " << specs.size()

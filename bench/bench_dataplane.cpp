@@ -19,10 +19,11 @@
  *     (one contiguous block per column, decode adopting columns
  *     wholesale), against an in-bench replica of the v1 field-wise
  *     per-point layout built from the same Encoder/Decoder primitives.
- *     Reports MB/s both ways and the heap allocations one v2 decode
- *     performs (counted by a bench-local global operator new): the
- *     column adoption should stay at a handful of vector allocations,
- *     not one per point.
+ *     Reports MB/s both ways, the frame checksum's MB/s over the same
+ *     payload (`checksum_mb_per_s`, codec::xxh64) and the heap
+ *     allocations one v2 decode performs (counted by a bench-local
+ *     global operator new): the column adoption should stay at a
+ *     handful of vector allocations, not one per point.
  *
  *  4. stitch_append — bulk timeline assembly through
  *     PowerProfile::appendTimelineRun (one resize, tight per-column
@@ -505,6 +506,13 @@ runCodec(tools::BenchReport& report, bool smoke, double& speedup_out)
     v2_set = fc::codec::decodeProfileSet(v2_bytes);
     const std::uint64_t decode_allocs =
         g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+    // The frame checksum over the same payload: every frame written and
+    // every frame verified (fleet results, cache disk hits) pays it once.
+    volatile std::uint64_t checksum_sink = 0;
+    const double checksum_ms = bestMs(reps * 3, [&] {
+        checksum_sink = fc::codec::xxh64(v2_bytes.data(), v2_bytes.size());
+    });
+    (void)checksum_sink;
 
     const bool identical = profilesBitIdentical(v1_sse, set.sse) &&
                            profilesBitIdentical(v1_ssp, set.ssp) &&
@@ -514,6 +522,8 @@ runCodec(tools::BenchReport& report, bool smoke, double& speedup_out)
     const double dec_speedup = v2_dec_ms > 0.0 ? v1_dec_ms / v2_dec_ms : 0.0;
     speedup_out = dec_speedup;
     const double mb = static_cast<double>(v2_bytes.size()) / 1.0e6;
+    const double checksum_mb_per_s =
+        checksum_ms > 0.0 ? mb / (checksum_ms / 1.0e3) : 0.0;
     const std::uint64_t points =
         set.sse.size() + set.ssp.size() + set.timeline.size();
 
@@ -534,6 +544,7 @@ runCodec(tools::BenchReport& report, bool smoke, double& speedup_out)
              v2_enc_ms > 0.0 ? mb / (v2_enc_ms / 1.0e3) : 0.0);
     s.metric("v2_decode_mb_per_s",
              v2_dec_ms > 0.0 ? mb / (v2_dec_ms / 1.0e3) : 0.0);
+    s.metric("checksum_mb_per_s", checksum_mb_per_s);
     s.metric("decode_allocs", decode_allocs);
     s.metric("decode_allocs_per_1k_points",
              static_cast<double>(decode_allocs) * 1.0e3 /
@@ -543,8 +554,9 @@ runCodec(tools::BenchReport& report, bool smoke, double& speedup_out)
     std::cout << "codec: v1 encode " << v1_enc_ms << " ms / decode "
               << v1_dec_ms << " ms, v2 encode " << v2_enc_ms
               << " ms / decode " << v2_dec_ms << " ms, speedups "
-              << enc_speedup << "x / " << dec_speedup << "x, "
-              << decode_allocs << " allocations per v2 decode, "
+              << enc_speedup << "x / " << dec_speedup << "x, checksum "
+              << checksum_mb_per_s << " MB/s, " << decode_allocs
+              << " allocations per v2 decode, "
               << "bit-identical: " << (identical ? "yes" : "NO") << "\n";
     if (!identical)
         std::cerr << "FAIL: codec round trips diverged from the source "

@@ -1,12 +1,15 @@
 #include "fingrav/campaign_cache.hpp"
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <utility>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "fingrav/codec.hpp"
@@ -19,41 +22,59 @@ namespace stdfs = std::filesystem;
 
 namespace {
 
-/** Read a whole file as bytes; nullopt when it cannot be opened. */
+/**
+ * Read a whole file as bytes in one pass: the buffer is sized from the
+ * opened file, then filled by read(2) directly.  nullopt when the file
+ * cannot be opened or read.
+ */
 std::optional<std::vector<std::uint8_t>>
 readAll(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
         return std::nullopt;
-    std::vector<std::uint8_t> bytes;
-    char buf[1 << 16];
-    while (in.read(buf, sizeof buf) || in.gcount() > 0) {
-        bytes.insert(bytes.end(), buf, buf + in.gcount());
-        if (!in)
-            break;
+    struct stat st {};
+    if (::fstat(fd, &st) != 0) {
+        ::close(fd);
+        return std::nullopt;
     }
-    if (in.bad())
-        return std::nullopt;
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(st.st_size));
+    std::size_t got = 0;
+    while (got < bytes.size()) {
+        const ssize_t n = ::read(fd, bytes.data() + got, bytes.size() - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0) {
+            ::close(fd);
+            return std::nullopt;
+        }
+        if (n == 0)
+            break;  // shrank since fstat: the frame length check rejects it
+        got += static_cast<std::size_t>(n);
+    }
+    ::close(fd);
+    bytes.resize(got);
     return bytes;
 }
 
 /**
- * Decode one on-disk blob back to (key bytes, ProfileSet).  Throws
- * support::FatalError on ANY inconsistency — truncation, bit flip
- * (checksum), foreign version, wrong frame type, trailing bytes — which
- * callers translate into a miss.
+ * Decode one on-disk blob back to (key bytes, ProfileSet), verifying
+ * and decoding the payload in place.  Throws support::FatalError on ANY
+ * inconsistency — truncation, bit flip (checksum), foreign version,
+ * wrong frame type, trailing bytes — which callers translate into a
+ * miss.
  */
 std::pair<std::string, ProfileSet>
 decodeEntry(const std::vector<std::uint8_t>& bytes)
 {
-    const auto frame = fscodec::parseFrame(bytes);
-    if (frame.type != fscodec::FrameType::kCacheEntry) {
+    const auto header = fscodec::verifyFrame(bytes.data(), bytes.size());
+    if (header.type != fscodec::FrameType::kCacheEntry) {
         support::fatal("campaign cache: blob holds a ",
-                       fscodec::toString(frame.type),
+                       fscodec::toString(header.type),
                        " frame, not a cache entry");
     }
-    fscodec::Decoder dec(frame.payload);
+    fscodec::Decoder dec(bytes.data() + fscodec::kFrameHeaderBytes,
+                         static_cast<std::size_t>(header.payload_len));
     std::string key = dec.str();
     ProfileSet set = fscodec::decodeProfileSet(dec);
     dec.expectEnd("cache entry");
@@ -92,7 +113,7 @@ CampaignCache::key(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
 std::uint64_t
 CampaignCache::keyHash(const std::string& key)
 {
-    return fscodec::fnv1a64(
+    return fscodec::xxh64(
         reinterpret_cast<const std::uint8_t*>(key.data()), key.size());
 }
 

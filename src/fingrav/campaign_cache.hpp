@@ -13,7 +13,7 @@
  * content-addressable:
  *
  *     key  = canonical_bytes(codec::kVersion, ScenarioSpec, MachineConfig)
- *     hash = FNV-1a-64(key)
+ *     hash = XXH64(key)   (codec::xxh64, the frame checksum's hash)
  *
  * CampaignCache maps that key to the resulting ProfileSet through two
  * tiers:
@@ -41,7 +41,7 @@
  * cached result whose layout semantics changed.
  *
  * Specs carrying a custom profile_fn are not cacheable (a std::function
- * has no canonical bytes — the same reason they never cross the shard
+ * has no canonical bytes — the same reason they never cross the fleet
  * wire); lookup()/store() ignore them, mirroring the backend contract.
  *
  * Thread safety: all members are safe to call concurrently; disk I/O is
@@ -129,7 +129,7 @@ class CampaignCache {
     static std::string key(const ScenarioSpec& spec,
                            const sim::MachineConfig& cfg);
 
-    /** FNV-1a-64 of the key bytes: the on-disk blob address. */
+    /** XXH64 of the key bytes (codec::xxh64): the on-disk blob address. */
     static std::uint64_t keyHash(const std::string& key);
 
     /**

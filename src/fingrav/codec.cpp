@@ -39,12 +39,12 @@ toString(FrameType type)
         return "scenario-spec";
       case FrameType::kProfileSet:
         return "profile-set";
-      case FrameType::kShardRequest:
-        return "shard-request";
-      case FrameType::kShardResult:
-        return "shard-result";
-      case FrameType::kShardDone:
-        return "shard-done";
+      case FrameType::kWorkRequest:
+        return "work-request";
+      case FrameType::kWorkResult:
+        return "work-result";
+      case FrameType::kWorkDone:
+        return "work-done";
       case FrameType::kWorkerError:
         return "worker-error";
       case FrameType::kCacheEntry:
@@ -847,15 +847,112 @@ decodeMachineConfig(const std::vector<std::uint8_t>& bytes)
 // Framing
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// XXH64 (Yann Collet's xxHash, 64-bit variant, seed 0): four
+// independent 64-bit accumulator lanes over 32-byte stripes, so the
+// multiply chains overlap instead of serializing on every byte.
+constexpr std::uint64_t kXxPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kXxPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::uint64_t kXxPrime5 = 0x27D4EB2F165667C5ULL;
+
+/** Little-endian loads whatever the host order: the checksum is part
+ *  of the canonical bytes, so it must not depend on the machine. */
 std::uint64_t
-fnv1a64(const std::uint8_t* data, std::size_t size)
+loadLe64(const std::uint8_t* p)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (std::size_t i = 0; i < size; ++i) {
-        hash ^= data[i];
-        hash *= 0x100000001b3ULL;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, p, sizeof v);
+        return v;
+    } else {
+        std::uint64_t v = 0;
+        for (int i = 0; i < 8; ++i)
+            v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+        return v;
     }
-    return hash;
+}
+
+std::uint32_t
+loadLe32(const std::uint8_t* p)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        std::uint32_t v = 0;
+        std::memcpy(&v, p, sizeof v);
+        return v;
+    } else {
+        std::uint32_t v = 0;
+        for (int i = 0; i < 4; ++i)
+            v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
+        return v;
+    }
+}
+
+std::uint64_t
+xxRound(std::uint64_t acc, std::uint64_t input)
+{
+    acc += input * kXxPrime2;
+    return std::rotl(acc, 31) * kXxPrime1;
+}
+
+std::uint64_t
+xxMergeRound(std::uint64_t acc, std::uint64_t lane)
+{
+    acc ^= xxRound(0, lane);
+    return acc * kXxPrime1 + kXxPrime4;
+}
+
+}  // namespace
+
+std::uint64_t
+xxh64(const std::uint8_t* data, std::size_t size)
+{
+    const std::uint8_t* p = data;
+    const std::uint8_t* const end = data + size;
+    std::uint64_t h = kXxPrime5;
+    if (size >= 32) {
+        std::uint64_t v1 = kXxPrime1 + kXxPrime2;
+        std::uint64_t v2 = kXxPrime2;
+        std::uint64_t v3 = 0;
+        std::uint64_t v4 = 0 - kXxPrime1;
+        for (const std::uint8_t* const limit = end - 32; p <= limit;
+             p += 32) {
+            v1 = xxRound(v1, loadLe64(p));
+            v2 = xxRound(v2, loadLe64(p + 8));
+            v3 = xxRound(v3, loadLe64(p + 16));
+            v4 = xxRound(v4, loadLe64(p + 24));
+        }
+        h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
+            std::rotl(v4, 18);
+        h = xxMergeRound(h, v1);
+        h = xxMergeRound(h, v2);
+        h = xxMergeRound(h, v3);
+        h = xxMergeRound(h, v4);
+    }
+    h += static_cast<std::uint64_t>(size);
+
+    for (; end - p >= 8; p += 8) {
+        h ^= xxRound(0, loadLe64(p));
+        h = std::rotl(h, 27) * kXxPrime1 + kXxPrime4;
+    }
+    if (end - p >= 4) {
+        h ^= static_cast<std::uint64_t>(loadLe32(p)) * kXxPrime1;
+        h = std::rotl(h, 23) * kXxPrime2 + kXxPrime3;
+        p += 4;
+    }
+    for (; p < end; ++p) {
+        h ^= static_cast<std::uint64_t>(*p) * kXxPrime5;
+        h = std::rotl(h, 11) * kXxPrime1;
+    }
+
+    h ^= h >> 33;
+    h *= kXxPrime2;
+    h ^= h >> 29;
+    h *= kXxPrime3;
+    h ^= h >> 32;
+    return h;
 }
 
 std::vector<std::uint8_t>
@@ -866,7 +963,7 @@ encodeFrame(FrameType type, const std::vector<std::uint8_t>& payload)
     header.u16(kVersion);
     header.u16(static_cast<std::uint16_t>(type));
     header.u64(payload.size());
-    header.u64(fnv1a64(payload.data(), payload.size()));
+    header.u64(xxh64(payload.data(), payload.size()));
     std::vector<std::uint8_t> out = header.bytes();
     out.insert(out.end(), payload.begin(), payload.end());
     return out;
@@ -902,7 +999,7 @@ void
 verifyFramePayload(const FrameHeader& header, const std::uint8_t* payload)
 {
     const std::uint64_t sum =
-        fnv1a64(payload, static_cast<std::size_t>(header.payload_len));
+        xxh64(payload, static_cast<std::size_t>(header.payload_len));
     if (sum != header.checksum) {
         support::fatal("codec: ", toString(header.type),
                        " frame payload checksum mismatch (corrupt or "
@@ -946,21 +1043,18 @@ readFrame(std::istream& in)
     return frame;
 }
 
-Frame
-parseFrame(const std::vector<std::uint8_t>& bytes)
+FrameHeader
+verifyFrame(const std::uint8_t* data, std::size_t size)
 {
-    if (bytes.size() < kFrameHeaderBytes)
+    if (size < kFrameHeaderBytes)
         support::fatal("codec: frame shorter than its header");
-    const auto header = decodeFrameHeader(bytes.data());
-    if (bytes.size() - kFrameHeaderBytes != header.payload_len)
+    const auto header = decodeFrameHeader(data);
+    if (size - kFrameHeaderBytes != header.payload_len)
         support::fatal("codec: frame length mismatch (header claims ",
                        header.payload_len, " payload bytes, buffer has ",
-                       bytes.size() - kFrameHeaderBytes, ")");
-    Frame frame;
-    frame.type = header.type;
-    frame.payload.assign(bytes.begin() + kFrameHeaderBytes, bytes.end());
-    verifyFramePayload(header, frame.payload.data());
-    return frame;
+                       size - kFrameHeaderBytes, ")");
+    verifyFramePayload(header, data + kFrameHeaderBytes);
+    return header;
 }
 
 }  // namespace fingrav::core::codec

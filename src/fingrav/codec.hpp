@@ -21,10 +21,10 @@
  *    in declaration order, no padding, no optional representations.
  *
  *  - *Versioned framing.*  Every frame carries the codec version and an
- *    FNV-1a payload checksum; a reader confronted with a foreign
+ *    XXH64 payload checksum; a reader confronted with a foreign
  *    version, a corrupt header or a truncated/mangled payload fails
  *    cleanly (support::FatalError) instead of decoding garbage.
- *    Any change to any encoded layout MUST bump kCodecVersion — there
+ *    Any change to any encoded layout MUST bump kVersion — there
  *    is deliberately no per-field tagging; the version is the schema.
  *
  * What crosses the wire: ScenarioSpec (foreground kernel reference,
@@ -61,16 +61,20 @@ inline constexpr std::uint32_t kMagic = 0x56524746u;
  * field-interleaved per-point records.
  * v3: control frames for persistent workers — kPing/kPong keepalive and
  * kShutdown — extend the frame-type range a v2 reader would reject.
+ * v4: the frame checksum (and the cache's key hash) is XXH64 instead
+ * of FNV-1a-64; the header layout is unchanged, but no v3 checksum
+ * verifies.  Frame types 3-5 were renamed kWork* alongside (same
+ * values).
  */
-inline constexpr std::uint16_t kVersion = 3;
+inline constexpr std::uint16_t kVersion = 4;
 
 /** Frame payload types. */
 enum class FrameType : std::uint16_t {
     kScenarioSpec = 1,  ///< one ScenarioSpec (tests, tooling)
     kProfileSet = 2,    ///< one ProfileSet (tests, tooling)
-    kShardRequest = 3,  ///< MachineConfig + [(slot, ScenarioSpec)]
-    kShardResult = 4,   ///< one (slot, ProfileSet) — streamed per spec
-    kShardDone = 5,     ///< u32 result count: clean shard completion
+    kWorkRequest = 3,   ///< MachineConfig + [(slot, ScenarioSpec)]
+    kWorkResult = 4,    ///< one (slot, ProfileSet) — streamed per spec
+    kWorkDone = 5,      ///< u32 result count: clean request completion
     kWorkerError = 6,   ///< string: worker-side fatal diagnostic
     kCacheEntry = 7,    ///< key bytes + ProfileSet (on-disk campaign cache)
     kPing = 8,          ///< empty: driver keepalive probe to an idle worker
@@ -206,19 +210,24 @@ inline constexpr std::size_t kFrameHeaderBytes = 24;
 
 /** Parsed frame header (payload follows on the wire). */
 struct FrameHeader {
-    FrameType type = FrameType::kShardDone;
+    FrameType type = FrameType::kWorkDone;
     std::uint64_t payload_len = 0;
     std::uint64_t checksum = 0;
 };
 
-/** FNV-1a 64-bit payload checksum. */
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size);
+/**
+ * XXH64 (seed 0) of `size` bytes: the frame payload checksum and the
+ * campaign cache's content-address hash.  Four 64-bit lanes over
+ * 32-byte stripes with explicit little-endian loads, so the value is
+ * the same on every host and matches the published xxHash vectors.
+ */
+std::uint64_t xxh64(const std::uint8_t* data, std::size_t size);
 
 /**
  * Guard for wire-derived lengths/counts: fatal when `n` is implausibly
  * large (a corrupted field must never be trusted with an allocation).
  * Every length the codec itself decodes is already guarded; custom
- * payload decoders (shard requests/results) must apply it to their own
+ * payload decoders (work requests/results) must apply it to their own
  * count fields too.
  */
 std::uint64_t checkedCount(std::uint64_t n, const char* what);
@@ -240,7 +249,7 @@ void verifyFramePayload(const FrameHeader& header,
 
 /** One frame read off a stream. */
 struct Frame {
-    FrameType type = FrameType::kShardDone;
+    FrameType type = FrameType::kWorkDone;
     std::vector<std::uint8_t> payload;
 };
 
@@ -255,8 +264,13 @@ bool writeFrame(std::ostream& out, FrameType type,
  */
 std::optional<Frame> readFrame(std::istream& in);
 
-/** Parse a whole in-memory frame (header + payload, exact size). */
-Frame parseFrame(const std::vector<std::uint8_t>& bytes);
+/**
+ * Validate a whole in-memory frame in place: header, exact length
+ * (header + payload_len == size) and payload checksum, all fatal on
+ * failure.  The verified payload is the payload_len bytes after the
+ * header, ready for a Decoder without a copy.
+ */
+FrameHeader verifyFrame(const std::uint8_t* data, std::size_t size);
 
 }  // namespace fingrav::core::codec
 

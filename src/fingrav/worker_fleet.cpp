@@ -28,7 +28,7 @@ using runtime::FrameStatus;
 using runtime::IoBudget;
 using Clock = std::chrono::steady_clock;
 
-/** One-spec request in the kShardRequest wire layout (count = 1). */
+/** One-spec request in the kWorkRequest wire layout (count = 1). */
 std::vector<std::uint8_t>
 encodeSpecRequest(const sim::MachineConfig& cfg, std::size_t slot,
                   const ScenarioSpec& spec)
@@ -356,7 +356,7 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
         state.delivered = false;
         const auto request = encodeSpecRequest(effective, slot, specs[slot]);
         const auto wire =
-            codec::encodeFrame(codec::FrameType::kShardRequest, request);
+            codec::encodeFrame(codec::FrameType::kWorkRequest, request);
         if (!runtime::writeAll(fleet_.writeFd(seat), wire.data(),
                                wire.size(),
                                IoBudget::inactivityOnly(opts.io_timeout_ms)))
@@ -439,7 +439,7 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
     };
 
     /**
-     * Drain one seat's response: a kShardResult then the kShardDone the
+     * Drain one seat's response: a kWorkResult then the kWorkDone the
      * serve loop writes back-to-back.  Any other outcome forfeits.
      */
     const auto drainSeat = [&](std::size_t seat) {
@@ -465,12 +465,12 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
             state.last_activity = Clock::now();
             try {
                 switch (frame.type) {
-                  case codec::FrameType::kShardResult: {
+                  case codec::FrameType::kWorkResult: {
                     codec::Decoder dec(frame.payload);
                     const std::size_t slot =
                         static_cast<std::size_t>(dec.u64());
                     auto set = codec::decodeProfileSet(dec);
-                    dec.expectEnd("shard result");
+                    dec.expectEnd("work result");
                     if (slot != state.slot || state.delivered) {
                         support::fatal("fleet seat ", seat,
                                        " returned unexpected slot ", slot);
@@ -480,10 +480,10 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
                     ++stats_.remote_specs;
                     break;
                   }
-                  case codec::FrameType::kShardDone: {
+                  case codec::FrameType::kWorkDone: {
                     codec::Decoder dec(frame.payload);
                     const std::uint32_t count = dec.u32();
-                    dec.expectEnd("shard done");
+                    dec.expectEnd("work done");
                     if (count != 1 || !state.delivered) {
                         support::fatal("fleet seat ", seat,
                                        " completed with its slot "

@@ -12,8 +12,8 @@
  * avoids both costs:
  *
  *  - **WorkerFleet** keeps `fingrav_cli --serve` subprocesses resident
- *    across dispatches.  A serve worker's loop (runtime/shard_worker)
- *    answers any number of kShardRequest frames until EOF or an
+ *    across dispatches.  A serve worker's loop (runtime/serve_worker)
+ *    answers any number of kWorkRequest frames until EOF or an
  *    explicit kShutdown, and idle residents are probed with kPing
  *    (answered kPong) at acquire time so a worker that died between
  *    dispatches is respawned instead of trusted.  Spawn failures and
@@ -39,7 +39,7 @@
  * quarantined to the in-process path.  Slots that exhaust
  * `max_retries` redispatches — or find no live worker — fall back to
  * ThreadPoolBackend execution, loudly, in the degradation journal.
- * Fault plans address workers as (shard = fleet seat, attempt = spawn
+ * Fault plans address workers as (seat = fleet seat, attempt = spawn
  * generation of that seat); worker-site faults count result frames over
  * the worker's *lifetime*, matching the persistent serve loop.
  */

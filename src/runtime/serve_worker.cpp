@@ -1,4 +1,4 @@
-#include "runtime/shard_worker.hpp"
+#include "runtime/serve_worker.hpp"
 
 #include <chrono>
 #include <cstdint>
@@ -38,39 +38,38 @@ writeBytes(std::ostream& out, const std::uint8_t* data, std::size_t size)
     return static_cast<bool>(out);
 }
 
-/** One decoded shard request. */
-struct ShardRequest {
+/** One decoded work request. */
+struct WorkRequest {
     sim::MachineConfig cfg;
     std::vector<std::pair<std::uint64_t, core::ScenarioSpec>> items;
 };
 
-ShardRequest
-decodeShardRequest(const std::vector<std::uint8_t>& payload)
+WorkRequest
+decodeWorkRequest(const std::vector<std::uint8_t>& payload)
 {
     codec::Decoder dec(payload);
-    ShardRequest request;
+    WorkRequest request;
     request.cfg = codec::decodeMachineConfig(dec);
-    const auto count = codec::checkedCount(dec.u32(), "shard-request spec");
+    const auto count = codec::checkedCount(dec.u32(), "work-request spec");
     request.items.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
         const std::uint64_t slot = dec.u64();
         request.items.emplace_back(slot, codec::decodeScenarioSpec(dec));
     }
-    dec.expectEnd("shard request");
+    dec.expectEnd("work request");
     return request;
 }
 
 }  // namespace
 
 int
-runShardWorker(std::istream& in, std::ostream& out,
+runServeWorker(std::istream& in, std::ostream& out,
                core::CampaignCache* cache, support::FaultInjector* injector)
 {
     // The fault-site coordinate counts result frames over the *process*
     // lifetime, not per request: a persistent fleet worker serves many
     // one-spec requests, and a plan like `kill:frame=2` must mean "die
-    // before the third result this worker ever produces".  One-shot
-    // shard workers see a single request, so the two scopes coincide.
+    // before the third result this worker ever produces".
     std::size_t result_frame = 0;
     for (;;) {
         std::optional<codec::Frame> frame;
@@ -91,14 +90,14 @@ runShardWorker(std::istream& in, std::ostream& out,
                 return 1;
             continue;
         }
-        if (frame->type != codec::FrameType::kShardRequest) {
-            sendError(out, std::string("worker expected a shard-request "
+        if (frame->type != codec::FrameType::kWorkRequest) {
+            sendError(out, std::string("worker expected a work-request "
                                        "frame, got ") +
                                codec::toString(frame->type));
             return 1;
         }
         try {
-            const auto request = decodeShardRequest(frame->payload);
+            const auto request = decodeWorkRequest(frame->payload);
             std::size_t completed = 0;
             for (const auto& [slot, spec] : request.items) {
                 // One fresh hermetic node per spec, the same runOne the
@@ -119,7 +118,7 @@ runShardWorker(std::istream& in, std::ostream& out,
                 enc.u64(slot);
                 codec::encodeProfileSet(enc, set);
                 auto wire = codec::encodeFrame(
-                    codec::FrameType::kShardResult, enc.bytes());
+                    codec::FrameType::kWorkResult, enc.bytes());
                 // Injection sites fire on the fully encoded frame, so a
                 // scripted fault mutates exactly the bytes a real death
                 // or corruption would leave on the pipe.
@@ -161,13 +160,13 @@ runShardWorker(std::istream& in, std::ostream& out,
             }
             codec::Encoder enc;
             enc.u32(static_cast<std::uint32_t>(completed));
-            if (!codec::writeFrame(out, codec::FrameType::kShardDone,
+            if (!codec::writeFrame(out, codec::FrameType::kWorkDone,
                                    enc.bytes()))
                 return 1;
         } catch (const std::exception& e) {
             // FatalError (user-level: bad label, bad schedule) and
             // anything else (bad_alloc, logic errors) alike: report and
-            // let the driver re-place the shard, never std::terminate.
+            // let the driver re-place the spec, never std::terminate.
             sendError(out, e.what());
             return 1;
         }

@@ -1,19 +1,19 @@
-#ifndef FINGRAV_RUNTIME_SHARD_WORKER_HPP_
-#define FINGRAV_RUNTIME_SHARD_WORKER_HPP_
+#ifndef FINGRAV_RUNTIME_SERVE_WORKER_HPP_
+#define FINGRAV_RUNTIME_SERVE_WORKER_HPP_
 
 /**
  * @file
  * Worker-process bootstrap for multi-process campaign execution.
  *
  * `fingrav_cli --serve` (a resident of core::WorkerFleet) calls
- * runShardWorker(std::cin, std::cout): a serve loop that reads
- * kShardRequest frames (machine config + a list of slot-addressed
+ * runServeWorker(std::cin, std::cout): a serve loop that reads
+ * kWorkRequest frames (machine config + a list of slot-addressed
  * ScenarioSpecs; the fleet sends one spec per request) off stdin,
  * executes each spec on a fresh hermetic node via
  * core::CampaignRunner::runOne — the exact code path the in-process
- * backends bottom out in — and streams one kShardResult frame per
+ * backends bottom out in — and streams one kWorkResult frame per
  * completed spec back on stdout, closing each request with a
- * kShardDone frame.  The loop then waits for the next request: the
+ * kWorkDone frame.  The loop then waits for the next request: the
  * fleet keeps the worker resident across dispatches, probing idle
  * residents with kPing (answered kPong) and retiring them with
  * kShutdown (clean exit, same as EOF).  Streaming per spec means a
@@ -50,7 +50,7 @@ class FaultInjector;
 namespace fingrav::runtime {
 
 /**
- * Serve shard requests until clean EOF or kShutdown on `in`.
+ * Serve work requests until clean EOF or kShutdown on `in`.
  *
  * @param cache  Optional campaign cache consulted before executing each
  *               spec and fed with every fresh result (`fingrav_cli
@@ -67,10 +67,10 @@ namespace fingrav::runtime {
  *         kWorkerError frame is emitted first when possible), 137 after
  *         an injected kill.
  */
-int runShardWorker(std::istream& in, std::ostream& out,
+int runServeWorker(std::istream& in, std::ostream& out,
                    core::CampaignCache* cache = nullptr,
                    support::FaultInjector* injector = nullptr);
 
 }  // namespace fingrav::runtime
 
-#endif  // FINGRAV_RUNTIME_SHARD_WORKER_HPP_
+#endif  // FINGRAV_RUNTIME_SERVE_WORKER_HPP_

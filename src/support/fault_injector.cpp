@@ -108,7 +108,7 @@ coordinateToString(long coordinate)
 }
 
 /** Serialize one action; optionally drop driver coordinates (the
- *  worker-side sub-plan never carries shard/attempt). */
+ *  worker-side sub-plan never carries seat/attempt). */
 std::string
 serializeAction(const FaultAction& action, bool strip_driver_coords)
 {
@@ -116,8 +116,8 @@ serializeAction(const FaultAction& action, bool strip_driver_coords)
     oss << toString(action.kind);
     std::vector<std::string> keys;
     if (!strip_driver_coords) {
-        if (action.shard != FaultAction::kAny)
-            keys.push_back("shard=" + coordinateToString(action.shard));
+        if (action.seat != FaultAction::kAny)
+            keys.push_back("seat=" + coordinateToString(action.seat));
         if (action.attempt != 0)
             keys.push_back("attempt=" + coordinateToString(action.attempt));
     }
@@ -179,8 +179,8 @@ FaultPlan::parse(const std::string& text)
                 const std::string key = trim(pair.substr(0, eq));
                 const long value =
                     parseValue(key, trim(pair.substr(eq + 1)), text);
-                if (key == "shard") {
-                    action.shard = value;
+                if (key == "seat") {
+                    action.seat = value;
                 } else if (key == "attempt") {
                     action.attempt = value;
                 } else if (key == "frame") {
@@ -191,7 +191,7 @@ FaultPlan::parse(const std::string& text)
                     action.times = value;
                 } else {
                     fatal("fault plan \"", text, "\": unknown key \"", key,
-                          "\" (expected shard|frame|attempt|ms|times)");
+                          "\" (expected seat|frame|attempt|ms|times)");
                 }
             }
         }
@@ -216,14 +216,14 @@ FaultInjector::FaultInjector(FaultPlan plan)
 }
 
 bool
-FaultInjector::onSpawn(std::size_t shard, std::size_t attempt)
+FaultInjector::onSpawn(std::size_t seat, std::size_t attempt)
 {
     std::lock_guard<std::mutex> lock(mu_);
     for (std::size_t i = 0; i < plan_.actions.size(); ++i) {
         const FaultAction& action = plan_.actions[i];
         if (action.kind != FaultKind::kSpawnFail)
             continue;
-        if (!matches(action.shard, shard) ||
+        if (!matches(action.seat, seat) ||
             !matches(action.attempt, attempt))
             continue;
         if (action.times != FaultAction::kAny && fired_[i] >= action.times)
@@ -235,17 +235,17 @@ FaultInjector::onSpawn(std::size_t shard, std::size_t attempt)
 }
 
 std::string
-FaultInjector::workerPlan(std::size_t shard, std::size_t attempt) const
+FaultInjector::workerPlan(std::size_t seat, std::size_t attempt) const
 {
     // Pure derivation from the plan script — a worker sub-plan depends
-    // only on (shard, attempt) coordinates, never on what already fired,
+    // only on (seat, attempt) coordinates, never on what already fired,
     // so the schedule of injected worker faults is deterministic.
     std::ostringstream oss;
     bool first = true;
     for (const FaultAction& action : plan_.actions) {
         if (!isWorkerSite(action.kind))
             continue;
-        if (!matches(action.shard, shard) ||
+        if (!matches(action.seat, seat) ||
             !matches(action.attempt, attempt))
             continue;
         oss << (first ? "" : ";")
@@ -258,7 +258,7 @@ FaultInjector::workerPlan(std::size_t shard, std::size_t attempt) const
 std::optional<FrameFault>
 FaultInjector::onResultFrame(std::size_t frame)
 {
-    // Worker-site coordinates are frame-only: shard/attempt were already
+    // Worker-site coordinates are frame-only: seat/attempt were already
     // resolved by the driver when it derived this worker's sub-plan.
     std::lock_guard<std::mutex> lock(mu_);
     for (std::size_t i = 0; i < plan_.actions.size(); ++i) {

@@ -31,13 +31,13 @@
  *   action  := name [':' key '=' value (',' key '=' value)*]
  *   name    := spawn-fail | kill | truncate | corrupt | stall
  *            | store-short
- *   key     := shard | frame | attempt | ms | times
+ *   key     := seat | frame | attempt | ms | times
  *   value   := non-negative integer | '*'            ('*' = match any)
  *
  * Examples:
- *   kill:shard=0,frame=1          worker in fleet seat 0, first spawn,
+ *   kill:seat=0,frame=1           worker in fleet seat 0, first spawn,
  *                                 dies after delivering one result
- *   kill:shard=0,attempt=*        every worker ever spawned into seat 0
+ *   kill:seat=0,attempt=*         every worker ever spawned into seat 0
  *                                 dies before its first result (drives
  *                                 a spec into quarantine)
  *   spawn-fail:times=3            the next three spawns fail (drives
@@ -45,22 +45,21 @@
  *   stall:frame=0,ms=2000         worker sleeps 2 s before its first
  *                                 result (trips the io timeout)
  *
- * Driver coordinates: `shard` names a core::WorkerFleet seat and
- * `attempt` that seat's spawn generation (the key keeps its name, so
- * plans written against it stay valid).  `frame` counts the result
+ * Driver coordinates: `seat` names a core::WorkerFleet seat and
+ * `attempt` that seat's spawn generation.  `frame` counts the result
  * frames a worker writes over its lifetime.
  *
  * Faults fire deterministically: an action matches on exact
- * (shard, attempt, frame) coordinates — never on timing or randomness —
+ * (seat, attempt, frame) coordinates — never on timing or randomness —
  * and fires at most `times` times, so the same plan against the same
  * campaign produces the same failure schedule, the same retry schedule,
  * and the same journal on every run.
  *
  * The worker side is a separate process, so its injector state restarts
  * fresh on every (re)spawn.  The driver therefore re-derives each
- * worker's sub-plan per launch: FaultInjector::workerPlan(shard,
+ * worker's sub-plan per launch: FaultInjector::workerPlan(seat,
  * attempt) serializes the worker-site actions matching that launch with
- * the shard/attempt coordinates stripped, and the driver appends
+ * the seat/attempt coordinates stripped, and the driver appends
  * `--fault-plan <subplan>` to that worker's argv.  Retried workers get a
  * clean (usually empty) plan by default; repeat-kill plans say
  * `attempt=*`.
@@ -90,11 +89,11 @@ const char* toString(FaultKind kind);
 
 /** One scripted fault. */
 struct FaultAction {
-    /** Wildcard for shard / attempt / frame coordinates. */
+    /** Wildcard for seat / attempt / frame coordinates. */
     static constexpr long kAny = -1;
 
     FaultKind kind = FaultKind::kKillWorker;
-    long shard = kAny;    ///< which fleet seat's worker (driver coordinates)
+    long seat = kAny;     ///< which fleet seat's worker (driver coordinates)
     long attempt = 0;     ///< which (re)spawn; retries get fresh workers
     long frame = 0;       ///< which result frame (worker coordinates)
     long stall_ms = 2000; ///< kStallPipe only: sleep duration
@@ -133,17 +132,17 @@ class FaultInjector {
     /** Whether any action is scripted at all (fast no-op check). */
     bool armed() const { return !plan_.actions.empty(); }
 
-    /** Driver site: should the spawn for (shard, attempt) fail? */
-    bool onSpawn(std::size_t shard, std::size_t attempt);
+    /** Driver site: should the spawn for (seat, attempt) fail? */
+    bool onSpawn(std::size_t seat, std::size_t attempt);
 
     /**
      * Driver side: serialize the worker-site actions matching
-     * (shard, attempt) into a standalone plan for that worker process,
-     * with shard/attempt stripped and attempt-consumed counts ignored
+     * (seat, attempt) into a standalone plan for that worker process,
+     * with seat/attempt stripped and attempt-consumed counts ignored
      * (the worker's own injector tracks its fire counts).  Empty string
      * when no worker-site action matches.
      */
-    std::string workerPlan(std::size_t shard, std::size_t attempt) const;
+    std::string workerPlan(std::size_t seat, std::size_t attempt) const;
 
     /** Worker site: fault to apply to result frame `frame`, if any. */
     std::optional<FrameFault> onResultFrame(std::size_t frame);

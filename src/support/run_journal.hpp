@@ -89,7 +89,7 @@ class RunJournal {
     /** Append one event (thread-safe). */
     void record(DegradeKind kind, std::string detail);
 
-    /** Streamed-detail convenience: record(kind, "shard ", s, " died"). */
+    /** Streamed-detail convenience: record(kind, "seat ", s, " died"). */
     template <typename First, typename... Rest>
     void
     record(DegradeKind kind, First&& first, Rest&&... rest)

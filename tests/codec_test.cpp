@@ -3,7 +3,7 @@
  * Wire-codec contract: exact round trips, canonical form, clean
  * rejection of anything that is not a well-formed current-version frame.
  *
- * Distributed sharding is only admissible because decode(encode(x))
+ * Multi-process execution is only admissible because decode(encode(x))
  * reproduces x bit-for-bit — these tests drive randomized ScenarioSpecs
  * and ProfileSets (including IEEE-754 edge values: -0.0, denormals,
  * infinities) through the codec and require exact equality, then attack
@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -224,8 +225,8 @@ TEST(Codec, ProfileSetRoundTripExact)
         const auto set = randomSet(rng);
         const auto bytes = codec::encode(set);
         const auto decoded = codec::decodeProfileSet(bytes);
-        // identicalProfileSets is the same bitwise gate the shard
-        // backends are held to.
+        // identicalProfileSets is the same bitwise gate the fleet
+        // backend is held to.
         EXPECT_TRUE(fc::identicalProfileSets(set, decoded));
         EXPECT_EQ(bytes, codec::encode(decoded));
     }
@@ -287,7 +288,7 @@ TEST(Codec, FrameRoundTripAndCleanEof)
     std::stringstream stream;
     ASSERT_TRUE(codec::writeFrame(
         stream, codec::FrameType::kScenarioSpec, payload));
-    ASSERT_TRUE(codec::writeFrame(stream, codec::FrameType::kShardDone, {}));
+    ASSERT_TRUE(codec::writeFrame(stream, codec::FrameType::kWorkDone, {}));
 
     const auto first = codec::readFrame(stream);
     ASSERT_TRUE(first.has_value());
@@ -295,7 +296,7 @@ TEST(Codec, FrameRoundTripAndCleanEof)
     EXPECT_EQ(first->payload, payload);
     const auto second = codec::readFrame(stream);
     ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(second->type, codec::FrameType::kShardDone);
+    EXPECT_EQ(second->type, codec::FrameType::kWorkDone);
     // Clean EOF on the frame boundary is not an error.
     EXPECT_FALSE(codec::readFrame(stream).has_value());
 }
@@ -320,7 +321,7 @@ TEST(Codec, TruncatedFrameFailsCleanly)
                      static_cast<std::streamsize>(wire.size() - 5));
         EXPECT_THROW(codec::readFrame(stream), fs::FatalError);
     }
-    EXPECT_THROW(codec::parseFrame({wire.begin(), wire.end() - 5}),
+    EXPECT_THROW(codec::verifyFrame(wire.data(), wire.size() - 5),
                  fs::FatalError);
 }
 
@@ -331,23 +332,23 @@ TEST(Codec, CorruptedPayloadFailsCleanly)
                                    codec::encode(randomSet(rng)));
     wire[codec::kFrameHeaderBytes +
          (wire.size() - codec::kFrameHeaderBytes) / 2] ^= 0x40;
-    EXPECT_THROW(codec::parseFrame(wire), fs::FatalError);
+    EXPECT_THROW(codec::verifyFrame(wire.data(), wire.size()), fs::FatalError);
 }
 
 TEST(Codec, BadMagicRejected)
 {
-    auto wire = codec::encodeFrame(codec::FrameType::kShardDone, {});
+    auto wire = codec::encodeFrame(codec::FrameType::kWorkDone, {});
     wire[0] ^= 0xff;
-    EXPECT_THROW(codec::parseFrame(wire), fs::FatalError);
+    EXPECT_THROW(codec::verifyFrame(wire.data(), wire.size()), fs::FatalError);
 }
 
 TEST(Codec, VersionMismatchRejected)
 {
-    auto wire = codec::encodeFrame(codec::FrameType::kShardDone, {});
+    auto wire = codec::encodeFrame(codec::FrameType::kWorkDone, {});
     // The version field sits right after the 4-byte magic.
     wire[4] = static_cast<std::uint8_t>(codec::kVersion + 1);
     try {
-        codec::parseFrame(wire);
+        codec::verifyFrame(wire.data(), wire.size());
         FAIL() << "foreign version must be rejected";
     } catch (const fs::FatalError& e) {
         EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
@@ -359,7 +360,7 @@ TEST(Codec, ImplausiblePayloadLengthRejectedBeforeAllocation)
     // A corrupt header must be rejected at the length field — the
     // reader (driver or worker) must never trust it with a
     // multi-gigabyte allocation before the checksum can fire.
-    auto wire = codec::encodeFrame(codec::FrameType::kShardDone, {});
+    auto wire = codec::encodeFrame(codec::FrameType::kWorkDone, {});
     for (std::size_t i = 8; i < 16; ++i)  // payload_len, past magic+ver+type
         wire[i] = 0xff;
     std::stringstream stream;
@@ -371,9 +372,122 @@ TEST(Codec, ImplausiblePayloadLengthRejectedBeforeAllocation)
 
 TEST(Codec, UnknownFrameTypeRejected)
 {
-    auto wire = codec::encodeFrame(codec::FrameType::kShardDone, {});
+    auto wire = codec::encodeFrame(codec::FrameType::kWorkDone, {});
     wire[6] = 0x7f;  // type field, past magic + version
-    EXPECT_THROW(codec::parseFrame(wire), fs::FatalError);
+    EXPECT_THROW(codec::verifyFrame(wire.data(), wire.size()), fs::FatalError);
+}
+
+TEST(Codec, Version3FrameRejected)
+{
+    // v3 framed payloads under an FNV-1a checksum; a v3 worker or v3
+    // cache blob must be refused by version before its checksum is
+    // ever compared.
+    auto wire = codec::encodeFrame(codec::FrameType::kWorkDone, {});
+    wire[4] = 3;
+    wire[5] = 0;
+    try {
+        codec::verifyFrame(wire.data(), wire.size());
+        FAIL() << "a v3 frame must be rejected";
+    } catch (const fs::FatalError& e) {
+        EXPECT_NE(std::string(e.what()).find("version 3"),
+                  std::string::npos);
+    }
+    std::stringstream stream;
+    stream.write(reinterpret_cast<const char*>(wire.data()),
+                 static_cast<std::streamsize>(wire.size()));
+    EXPECT_THROW(codec::readFrame(stream), fs::FatalError);
+}
+
+TEST(Codec, EverySingleBitFlipOfAFrameIsRejected)
+{
+    // Bit granularity, not whole bytes: every one of the frame's bits
+    // is flipped in turn.  The framing itself (magic, version, length,
+    // checksum) must reject every flip outside the type field.  A flip
+    // inside the type field can land on another valid type, which no
+    // reader accepts: each one expects a specific type (a cache lookup
+    // a kCacheEntry, the fleet a kWorkResult/kWorkDone), as checked
+    // here.
+    fs::Rng rng(47);
+    const auto type = codec::FrameType::kScenarioSpec;
+    const auto wire = codec::encodeFrame(type, codec::encode(randomSpec(rng)));
+    ASSERT_LT(wire.size(), 4096u);
+    std::size_t type_rejections = 0;
+    for (std::size_t bit = 0; bit < wire.size() * 8; ++bit) {
+        auto mutated = wire;
+        mutated[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        const bool in_type_field = bit / 8 == 6 || bit / 8 == 7;
+        try {
+            const auto header =
+                codec::verifyFrame(mutated.data(), mutated.size());
+            EXPECT_TRUE(in_type_field) << "bit " << bit << " flip accepted";
+            EXPECT_NE(header.type, type) << "bit " << bit;
+            ++type_rejections;
+        } catch (const fs::FatalError&) {
+        }
+    }
+    // kScenarioSpec (1) reaches types 3, 5 and 9 by one flip.
+    EXPECT_EQ(type_rejections, 3u);
+}
+
+TEST(Codec, Xxh64MatchesPublishedVectors)
+{
+    auto hash = [](const std::string& s) {
+        return codec::xxh64(reinterpret_cast<const std::uint8_t*>(s.data()),
+                            s.size());
+    };
+    EXPECT_EQ(hash(""), 0xEF46DB3751D8E999ULL);
+    EXPECT_EQ(hash("abc"), 0x44BC2CF5AD770999ULL);
+    // 39 bytes: one 32-byte stripe, then a 7-byte tail.
+    EXPECT_EQ(hash("Nobody inspects the spammish repetition"),
+              0xFBCEA83C8A378BF1ULL);
+}
+
+TEST(Codec, Xxh64KnownAnswersForEveryTailLength)
+{
+    // One 32-byte stripe followed by a 0-31 byte tail, so every
+    // combination of the 8-, 4- and 1-byte tail steps runs.  Pinned
+    // from this implementation; an independent transcription of the
+    // algorithm reproduces the same 32 values.
+    static constexpr std::uint64_t kExpected[32] = {
+        0x07F7B8E3BC5D6E25ULL, 0x09F85EEB4E1CBE9FULL,
+        0x35284E7F91DD1AE5ULL, 0x25CC31E4544BC8C9ULL,
+        0xE7AC625222F2B655ULL, 0x1D8C3A2215085739ULL,
+        0x1FB3064ED36C675FULL, 0xB13C137A0FB701C3ULL,
+        0xD25150177BA46490ULL, 0x3AD8BB2779D9285EULL,
+        0xFE4DDAB6E3D75DDCULL, 0x9D340603AA03CC62ULL,
+        0xD02B2028C27A5329ULL, 0xFF59426B0066066BULL,
+        0x713A114207F600E2ULL, 0x79BD9D6DD8C15570ULL,
+        0x2947DE5E3A6AFECEULL, 0x43F1E784039912D3ULL,
+        0x072FA9968401E9C7ULL, 0xC3C4FF0D8F66E206ULL,
+        0x0EFBC3939FA05814ULL, 0x42BE842D0902D7A7ULL,
+        0x8A78B907C424DC46ULL, 0x8F8DC5B07F6D48EDULL,
+        0xA2ACF5B431DB2E52ULL, 0x403200F5D0354116ULL,
+        0xC326A3D65678339BULL, 0xA53B8E5BC9FF65A4ULL,
+        0x4CCE586D8ACA19E5ULL, 0xBD3BD33486AF6DC6ULL,
+        0x4149DD403B20A2DCULL, 0xB7C9968C066CB6A5ULL,
+    };
+    std::vector<std::uint8_t> bytes(63);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(i * 131u + 7u);
+    for (std::size_t tail = 0; tail < 32; ++tail)
+        EXPECT_EQ(codec::xxh64(bytes.data(), 32 + tail), kExpected[tail])
+            << "tail " << tail;
+}
+
+TEST(Codec, Xxh64IgnoresBufferAlignment)
+{
+    // Lanes are loaded with unaligned little-endian loads: the same
+    // bytes hash the same at every offset.
+    std::vector<std::uint8_t> bytes(200);
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        bytes[i] = static_cast<std::uint8_t>(i * 29u + 3u);
+    const std::uint64_t aligned = codec::xxh64(bytes.data(), 150);
+    for (std::size_t offset = 1; offset < 8; ++offset) {
+        std::vector<std::uint8_t> shifted(offset, 0xAB);
+        shifted.insert(shifted.end(), bytes.begin(), bytes.begin() + 150);
+        EXPECT_EQ(codec::xxh64(shifted.data() + offset, 150), aligned)
+            << "offset " << offset;
+    }
 }
 
 // ---- v2 columnar profile layout ------------------------------------------

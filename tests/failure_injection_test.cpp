@@ -190,7 +190,7 @@ TEST(FailureInjection, WorkerDeathMidDispatchStaysBitIdenticalAndJournaled)
     opts.workers = 2;
     opts.worker_command = fingrav::testing::cliServeCommand();
     opts.backoff_base_ms = 1;
-    opts.fault_plan = fs::FaultPlan::parse("kill:shard=1,frame=0");
+    opts.fault_plan = fs::FaultPlan::parse("kill:seat=1,frame=0");
     auto backend = std::make_shared<fc::FleetBackend>(opts);
     const auto fleet = fc::CampaignRunner(backend).run(specs);
 
@@ -214,7 +214,7 @@ TEST(FailureInjection, CorruptResultFrameStaysBitIdenticalAndJournaled)
     opts.workers = 1;
     opts.worker_command = fingrav::testing::cliServeCommand();
     opts.backoff_base_ms = 1;
-    opts.fault_plan = fs::FaultPlan::parse("corrupt:shard=0,frame=0");
+    opts.fault_plan = fs::FaultPlan::parse("corrupt:seat=0,frame=0");
     auto backend = std::make_shared<fc::FleetBackend>(opts);
     const auto fleet = fc::CampaignRunner(backend).run(specs);
 

@@ -247,7 +247,7 @@ TEST(FleetBackend, WorkerKilledMidDispatchIsReplacedIdentically)
     const auto serial = fc::CampaignRunner(1).run(specs);
 
     auto backend = std::make_shared<fc::FleetBackend>(
-        fleetOptions(2, "kill:shard=0,frame=0"));
+        fleetOptions(2, "kill:seat=0,frame=0"));
     const auto fleet = fc::CampaignRunner(backend).run(specs);
     expectAllIdentical(serial, fleet, specs, "mid-dispatch kill");
 
@@ -276,7 +276,7 @@ TEST(FleetBackend, PoisonedSpecIsQuarantined)
     const auto serial = fc::CampaignRunner(1).run(specs);
 
     auto opts =
-        fleetOptions(2, "kill:shard=0,frame=0,attempt=*,times=*");
+        fleetOptions(2, "kill:seat=0,frame=0,attempt=*,times=*");
     opts.quarantine_deaths = 2;
     auto backend = std::make_shared<fc::FleetBackend>(opts);
     const auto fleet = fc::CampaignRunner(backend).run(specs);
@@ -358,7 +358,7 @@ TEST(FleetBackend, CorruptResultFrameForfeitsAndRetries)
     const auto serial = fc::CampaignRunner(1).run(specs);
 
     auto backend = std::make_shared<fc::FleetBackend>(
-        fleetOptions(1, "corrupt:shard=0,frame=1"));
+        fleetOptions(1, "corrupt:seat=0,frame=1"));
     const auto fleet = fc::CampaignRunner(backend).run(specs);
     expectAllIdentical(serial, fleet, specs, "corrupt result frame");
 
@@ -468,7 +468,7 @@ TEST(FleetBackend, RetryScheduleIsDeterministic)
     const auto serial = fc::CampaignRunner(1).run(specs);
 
     auto run = [&](std::size_t workers) {
-        auto opts = fleetOptions(workers, "kill:shard=0,frame=0");
+        auto opts = fleetOptions(workers, "kill:seat=0,frame=0");
         opts.backoff_base_ms = 5;
         opts.backoff_seed = 42;
         auto backend = std::make_shared<fc::FleetBackend>(opts);
@@ -595,10 +595,10 @@ TEST(WorkerFleet, DefaultServeCommandResolvesTheCli)
 TEST(FaultPlan, ParsesWildcardsAndRoundTrips)
 {
     const auto plan = fs::FaultPlan::parse(
-        "kill:shard=0,frame=1;spawn-fail:times=*;stall:frame=2,ms=250");
+        "kill:seat=0,frame=1;spawn-fail:times=*;stall:frame=2,ms=250");
     ASSERT_EQ(plan.actions.size(), 3u);
     EXPECT_EQ(plan.actions[0].kind, fs::FaultKind::kKillWorker);
-    EXPECT_EQ(plan.actions[0].shard, 0);
+    EXPECT_EQ(plan.actions[0].seat, 0);
     EXPECT_EQ(plan.actions[0].frame, 1);
     EXPECT_EQ(plan.actions[1].kind, fs::FaultKind::kSpawnFail);
     EXPECT_EQ(plan.actions[1].times, fs::FaultAction::kAny);
@@ -613,17 +613,20 @@ TEST(FaultPlan, ParsesWildcardsAndRoundTrips)
 TEST(FaultPlan, MalformedPlansAreFatal)
 {
     EXPECT_THROW(fs::FaultPlan::parse("explode"), fs::FatalError);
-    EXPECT_THROW(fs::FaultPlan::parse("kill:shard=abc"), fs::FatalError);
+    EXPECT_THROW(fs::FaultPlan::parse("kill:seat=abc"), fs::FatalError);
     EXPECT_THROW(fs::FaultPlan::parse("kill:wibble=1"), fs::FatalError);
+    // The seat key was once spelled `shard`; that spelling is now just
+    // another unknown key.
+    EXPECT_THROW(fs::FaultPlan::parse("kill:shard=0"), fs::FatalError);
 }
 
 TEST(FaultPlan, WorkerSubPlanStripsDriverCoordinates)
 {
     // The driver hands each worker the sub-plan scripted for its
-    // (shard, attempt); shard/attempt are resolved at derivation time,
+    // (seat, attempt); seat/attempt are resolved at derivation time,
     // so the worker matches on frame index alone.
     const fs::FaultInjector injector(
-        fs::FaultPlan::parse("kill:shard=1,frame=2;corrupt:shard=0"));
+        fs::FaultPlan::parse("kill:seat=1,frame=2;corrupt:seat=0"));
     EXPECT_EQ(injector.workerPlan(1, 0), "kill:frame=2");
     EXPECT_EQ(injector.workerPlan(0, 0), "corrupt");
     EXPECT_EQ(injector.workerPlan(2, 0), "");
@@ -636,14 +639,14 @@ TEST(RunJournal, RecordsCountsAndReports)
 {
     fs::RunJournal journal;
     EXPECT_TRUE(journal.empty());
-    journal.record(DegradeKind::kWorkerDeath, "shard ", 0, ": died");
+    journal.record(DegradeKind::kWorkerDeath, "seat ", 0, ": died");
     journal.record(DegradeKind::kRetry, "round 1");
     EXPECT_EQ(journal.size(), 2u);
     EXPECT_EQ(journal.count(DegradeKind::kWorkerDeath), 1u);
     EXPECT_EQ(journal.count(DegradeKind::kQuarantine), 0u);
     const auto report = journal.report();
     EXPECT_NE(report.find("worker-death"), std::string::npos);
-    EXPECT_NE(report.find("shard 0: died"), std::string::npos);
+    EXPECT_NE(report.find("seat 0: died"), std::string::npos);
 
     // Copies snapshot the events (the journal rides inside FleetStats).
     const fs::RunJournal copy = journal;

@@ -14,8 +14,12 @@ baseline.
 Comparison rules, per scenario:
   * metrics named "speedup" (higher is better): warn when
         current < baseline * (1 - threshold)
-  * metrics ending in "_wall_ms" (lower is better): warn when
+  * metrics ending in "_wall_ms" or "_us_p50" (host time, lower is
+    better): warn when
         current > baseline * (1 + threshold)
+  * metrics ending in "_mb_per_s" (throughput, higher is better): warn
+    when
+        current < baseline * (1 - threshold)
   * notes named "bit_identical" / "bytes_conserved" /
     "zero_reexecutions" / "all_from_disk" / "journal_nonempty": warn on
     any value that is not an affirmative "yes" (these are correctness
@@ -127,12 +131,21 @@ def compare_scenario(name, cur, base, threshold):
                     f"previous run's {base_val:.2f}x"
                 )
                 regressions += 1
-        elif key.endswith("_wall_ms"):
+        elif key.endswith("_wall_ms") or key.endswith("_us_p50"):
+            unit = "ms" if key.endswith("_wall_ms") else "us"
             if base_val > 0 and cur_val > base_val * (1.0 + threshold):
                 warn(
-                    f"{name}: {key} {cur_val:.1f} ms is "
+                    f"{name}: {key} {cur_val:.1f} {unit} is "
                     f"{(cur_val / base_val - 1) * 100:.0f}% above the "
-                    f"previous run's {base_val:.1f} ms"
+                    f"previous run's {base_val:.1f} {unit}"
+                )
+                regressions += 1
+        elif key.endswith("_mb_per_s"):
+            if base_val > 0 and cur_val < base_val * (1.0 - threshold):
+                warn(
+                    f"{name}: {key} {cur_val:.0f} MB/s is "
+                    f"{(1 - cur_val / base_val) * 100:.0f}% below the "
+                    f"previous run's {base_val:.0f} MB/s"
                 )
                 regressions += 1
     return regressions

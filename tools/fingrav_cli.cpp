@@ -56,7 +56,7 @@
 #include "fingrav/worker_fleet.hpp"
 #include "kernels/workloads.hpp"
 #include "runtime/host_runtime.hpp"
-#include "runtime/shard_worker.hpp"
+#include "runtime/serve_worker.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/simulation.hpp"
 #include "support/fault_injector.hpp"
@@ -124,7 +124,7 @@ usage(const char* argv0)
         << "  --io-timeout-ms N  worker-pipe inactivity timeout for\n"
         << "                     --fleet runs (0 = wait forever)\n"
         << "  --fault-plan PLAN  scripted fault injection for CI fault\n"
-        << "                     matrices: kill:shard=0,frame=1 |\n"
+        << "                     matrices: kill:seat=0,frame=1 |\n"
         << "                     corrupt:frame=0 | stall:frame=0,ms=2000 |\n"
         << "                     spawn-fail | store-short (';'-separated;\n"
         << "                     grammar in support/fault_injector.hpp)\n"
@@ -703,7 +703,7 @@ main(int argc, char** argv)
             const auto opts = parseOptions(args, 2, argv[0]);
             const auto cache = makeCache(opts);
             fs::FaultInjector injector(opts.fault_plan);
-            return rt::runShardWorker(std::cin, std::cout, cache.get(),
+            return rt::runServeWorker(std::cin, std::cout, cache.get(),
                                       injector.armed() ? &injector
                                                        : nullptr);
         }
