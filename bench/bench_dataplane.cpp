@@ -796,10 +796,12 @@ runCaptureToStitch(tools::BenchReport& report, bool smoke,
 
     // A real simulated device only to calibrate TimeSync (the bench's
     // translation must run the production sync math, division included).
-    sim::Simulation simulation(sim::mi300xConfig(), 71, 1);
-    fingrav::runtime::HostRuntime host(simulation, simulation.forkRng(7));
-    const auto sync = fc::TimeSync::calibrate(host);
-    const auto tick = host.timestampTick();
+    fc::ScenarioSpec spec;
+    spec.label = "CB-2K-GEMM";
+    spec.seed = 71;
+    fc::CampaignNode node(spec, sim::mi300xConfig());
+    const auto sync = fc::TimeSync::calibrate(node.host());
+    const auto tick = node.host().timestampTick();
 
     fc::ProfilerOptions opts;
     opts.binning = false;  // every run golden: stitch = pure data plane

@@ -35,12 +35,12 @@
 #include <string>
 #include <vector>
 
+#include "fingrav/campaign_runner.hpp"
 #include "fingrav/profiler.hpp"
 #include "fingrav/run_executor.hpp"
 #include "fingrav/stitcher.hpp"
 #include "fingrav/time_sync.hpp"
 #include "kernels/workloads.hpp"
-#include "runtime/host_runtime.hpp"
 #include "sim/gpu_device.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/simulation.hpp"
@@ -50,7 +50,6 @@
 namespace fc = fingrav::core;
 namespace fk = fingrav::kernels;
 namespace fs = fingrav::support;
-namespace rt = fingrav::runtime;
 namespace sim = fingrav::sim;
 namespace tools = fingrav::tools;
 using namespace fingrav::support::literals;
@@ -173,8 +172,7 @@ stitchSkeleton()
 
 struct StitchScenario {
     std::vector<fc::RunRecord> runs;
-    std::unique_ptr<sim::Simulation> simulation;
-    std::unique_ptr<rt::HostRuntime> host;
+    std::unique_ptr<fc::CampaignNode> node;
     std::unique_ptr<fc::TimeSync> sync;
     std::size_t total_samples = 0;
     std::size_t total_execs = 0;
@@ -184,16 +182,16 @@ StitchScenario
 buildStitchScenario(std::size_t run_count)
 {
     StitchScenario sc;
-    auto cfg = sim::mi300xConfig();
-    sc.simulation = std::make_unique<sim::Simulation>(cfg, 77, 1);
-    sc.host = std::make_unique<rt::HostRuntime>(*sc.simulation,
-                                                sc.simulation->forkRng(7));
+    fc::ScenarioSpec spec;
+    spec.label = "CB-2K-GEMM";
+    spec.seed = 77;
+    sc.node = std::make_unique<fc::CampaignNode>(spec, sim::mi300xConfig());
     sc.sync = std::make_unique<fc::TimeSync>(
-        fc::TimeSync::calibrate(*sc.host));
+        fc::TimeSync::calibrate(sc.node->host()));
 
-    fc::RunExecutor exec(*sc.host, sc.simulation->forkRng(9));
+    fc::RunExecutor exec(sc.node->host(), sc.node->simulation().forkRng(9));
     fc::RunPlan plan;
-    plan.main = fk::makeSquareGemm(2048, cfg);
+    plan.main = sc.node->kernel();
     plan.main_execs_per_block = 60;
     plan.logger_window = 200_us;  // denser LOI stream than the default
     sc.runs.reserve(run_count);
@@ -289,7 +287,7 @@ main(int argc, char** argv)
 
         fc::ProfilerOptions opts;
         opts.margin_override = 0.05;
-        const auto tick = sc.host->timestampTick();
+        const auto tick = sc.node->host().timestampTick();
 
         // Reference: the seed's behaviour — every appended run triggers a
         // full quadratic re-stitch of everything so far.

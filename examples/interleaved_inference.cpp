@@ -20,16 +20,15 @@
 #include <iostream>
 #include <vector>
 
+#include "fingrav/campaign_runner.hpp"
 #include "kernels/workloads.hpp"
-#include "runtime/host_runtime.hpp"
 #include "sim/machine_config.hpp"
-#include "sim/simulation.hpp"
 #include "support/table.hpp"
 #include "support/time_types.hpp"
 
+namespace fc = fingrav::core;
 namespace fk = fingrav::kernels;
 namespace fs = fingrav::support;
-namespace rt = fingrav::runtime;
 namespace sim = fingrav::sim;
 using namespace fingrav::support::literals;
 
@@ -46,13 +45,16 @@ ScheduleResult
 runSchedule(bool concurrent, int iters, std::uint64_t seed)
 {
     const auto cfg = sim::mi300xConfig();
-    sim::Simulation node(cfg, seed, 1);
-    rt::HostRuntime host(node, node.forkRng(7));
-
     // Decode attention behaves like batched GEMV (memory-bound);
-    // the FFN projection is a compute-bound GEMM.
+    // the FFN projection is a compute-bound GEMM.  The iteration runs on
+    // one GPU: the FFN's campaign node.
+    fc::ScenarioSpec spec;
+    spec.label = "CB-4K-GEMM";
+    spec.seed = seed;
+    fc::CampaignNode node(spec, cfg);
+    auto& host = node.host();
     const auto attention = fk::makeGemv(8192, cfg);
-    const auto ffn = fk::makeSquareGemm(4096, cfg);
+    const auto& ffn = node.kernel();
 
     host.startPowerLog();
     host.sleep(1_ms);  // let capture engage

@@ -11,42 +11,6 @@
 
 namespace fingrav::analysis {
 
-Campaign::Campaign(std::uint64_t seed, std::size_t devices,
-                   const sim::MachineConfig& cfg)
-    : cfg_(cfg),
-      sim_(std::make_unique<sim::Simulation>(cfg, seed, devices)),
-      host_(std::make_unique<runtime::HostRuntime>(*sim_,
-                                                   sim_->forkRng(7)))
-{
-}
-
-core::Profiler
-Campaign::profiler(core::ProfilerOptions opts)
-{
-    return core::Profiler(*host_, opts, sim_->forkRng(8));
-}
-
-core::ProfileSet
-Campaign::run(const kernels::KernelModelPtr& kernel,
-              core::ProfilerOptions opts)
-{
-    return profiler(opts).profile(kernel);
-}
-
-core::ProfileSet
-profileOnFreshNode(const std::string& label, std::uint64_t seed,
-                   core::ProfilerOptions opts)
-{
-    // Delegates to the campaign engine as an isolated scenario;
-    // CampaignNode mirrors the legacy Campaign construction bitwise for
-    // background-free scenarios, so results are unchanged.
-    core::ScenarioSpec spec;
-    spec.label = label;
-    spec.seed = seed;
-    spec.opts = opts;
-    return core::CampaignRunner::runOne(spec);
-}
-
 std::vector<core::ScenarioSpec>
 fig10ScenarioSet(std::size_t runs, bool with_contended)
 {

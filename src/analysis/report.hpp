@@ -5,66 +5,21 @@
  * @file
  * Shared experiment scaffolding for the bench binaries.
  *
- * Every bench regenerates one paper table or figure: it builds a fresh
- * simulated node per campaign (deterministic given the seed), runs the
- * profiler, prints the paper-style rows/series, and dumps CSVs for
- * external replotting under ./fingrav_out/.
+ * Every bench regenerates one paper table or figure: it profiles its
+ * campaigns as core::ScenarioSpecs (one fresh, seed-deterministic node
+ * each; fingrav/campaign_runner.hpp), prints the paper-style
+ * rows/series, and dumps CSVs for external replotting under
+ * ./fingrav_out/.
  */
 
-#include <memory>
 #include <string>
+#include <vector>
 
-#include "fingrav/campaign_runner.hpp"
 #include "fingrav/profiler.hpp"
 #include "fingrav/recorded_campaign.hpp"
-#include "kernels/kernel_model.hpp"
-#include "runtime/host_runtime.hpp"
-#include "sim/machine_config.hpp"
-#include "sim/simulation.hpp"
-#include "support/rng.hpp"
+#include "fingrav/scenario.hpp"
 
 namespace fingrav::analysis {
-
-/** A fresh node + runtime bundle for one profiling campaign. */
-class Campaign {
-  public:
-    /**
-     * @param seed     Root seed (campaigns are bit-reproducible).
-     * @param devices  GPUs to instantiate (0 = full node).
-     * @param cfg      Machine description (default: calibrated MI300X).
-     */
-    explicit Campaign(std::uint64_t seed, std::size_t devices = 1,
-                      const sim::MachineConfig& cfg = sim::mi300xConfig());
-
-    /** The runtime to hand to profilers. */
-    runtime::HostRuntime& host() { return *host_; }
-
-    /** The machine description. */
-    const sim::MachineConfig& config() const { return cfg_; }
-
-    /** Build a profiler over this campaign's runtime. */
-    core::Profiler profiler(core::ProfilerOptions opts = {});
-
-    /** Run a full default-methodology campaign for one kernel. */
-    core::ProfileSet run(const kernels::KernelModelPtr& kernel,
-                         core::ProfilerOptions opts = {});
-
-  private:
-    sim::MachineConfig cfg_;
-    std::unique_ptr<sim::Simulation> sim_;
-    std::unique_ptr<runtime::HostRuntime> host_;
-};
-
-/**
- * Profile a paper kernel on a fresh node (devices chosen automatically:
- * full node for collectives, single GPU otherwise).  Builds an isolated
- * core::ScenarioSpec and hands it to core::CampaignRunner::runOne;
- * campaign *sets* should go through core::CampaignRunner::run to profile
- * concurrently.
- */
-core::ProfileSet profileOnFreshNode(const std::string& label,
-                                    std::uint64_t seed,
-                                    core::ProfilerOptions opts = {});
 
 /**
  * The nine-kernel Fig. 10 campaign set (bench_fig10's labels and seed

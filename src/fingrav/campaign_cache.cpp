@@ -81,6 +81,29 @@ decodeEntry(const std::vector<std::uint8_t>& bytes)
     return {std::move(key), std::move(set)};
 }
 
+/**
+ * True when a blob's only fault is its codec version: the right magic,
+ * a cache-entry type and a payload length matching the file, but a
+ * version other than kVersion.  Another build wrote it, and the key
+ * embeds the version, so it is never addressed again.  Its checksum is
+ * left unchecked: the checksum algorithm is part of that version.
+ */
+bool
+staleBlob(const std::vector<std::uint8_t>& bytes)
+{
+    if (bytes.size() < fscodec::kFrameHeaderBytes)
+        return false;
+    fscodec::Decoder dec(bytes.data(), fscodec::kFrameHeaderBytes);
+    const std::uint32_t magic = dec.u32();
+    const std::uint16_t version = dec.u16();
+    const std::uint16_t type = dec.u16();
+    const std::uint64_t payload_len = dec.u64();
+    return magic == fscodec::kMagic && version != fscodec::kVersion &&
+           type == static_cast<std::uint16_t>(
+                       fscodec::FrameType::kCacheEntry) &&
+           payload_len == bytes.size() - fscodec::kFrameHeaderBytes;
+}
+
 }  // namespace
 
 CampaignCache::CampaignCache(CacheOptions opts)
@@ -329,6 +352,10 @@ CampaignCache::scanDir(const std::string& dir)
         const auto bytes = readAll(entry.path().string());
         if (!bytes.has_value()) {
             ++scan.corrupt_entries;
+            continue;
+        }
+        if (staleBlob(*bytes)) {
+            ++scan.stale_entries;
             continue;
         }
         try {

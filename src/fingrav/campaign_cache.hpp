@@ -108,6 +108,8 @@ struct CacheDirScan {
     std::uint64_t entries = 0;        ///< *.fgc blobs present
     std::uint64_t valid_entries = 0;  ///< blobs that fully revalidate
     std::uint64_t corrupt_entries = 0;
+    /** Intact blobs of another codec version: never addressed again. */
+    std::uint64_t stale_entries = 0;
     std::uint64_t bytes = 0;          ///< total blob bytes
     std::uint64_t temp_files = 0;     ///< unpublished write-temp leftovers
 };
@@ -167,7 +169,8 @@ class CampaignCache {
 
     /**
      * Survey an on-disk store: blob count and bytes, how many blobs
-     * revalidate end to end, and leftover write-temps.  Powers the CLI's
+     * revalidate end to end, how many are stale (another codec version)
+     * or corrupt, and leftover write-temps.  Powers the CLI's
      * `cache stats`; never throws (a missing directory scans as empty).
      */
     static CacheDirScan scanDir(const std::string& dir);

@@ -45,12 +45,6 @@ CampaignNode::CampaignNode(const ScenarioSpec& spec,
     host_.armBackground(buildBackgroundStreams(spec, sim_), sim_.forkRng(9));
 }
 
-CampaignNode::CampaignNode(const CampaignSpec& spec,
-                           const sim::MachineConfig& cfg)
-    : CampaignNode(ScenarioSpec::fromCampaign(spec), cfg)
-{
-}
-
 CampaignRunner::CampaignRunner(std::size_t threads)
     : backend_(std::make_shared<ThreadPoolBackend>(threads))
 {
@@ -76,12 +70,6 @@ CampaignRunner::runOne(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
         .profile(node.kernel());
 }
 
-ProfileSet
-CampaignRunner::runOne(const CampaignSpec& spec, const sim::MachineConfig& cfg)
-{
-    return runOne(ScenarioSpec::fromCampaign(spec), cfg);
-}
-
 std::vector<ProfileSet>
 CampaignRunner::run(const std::vector<ScenarioSpec>& specs,
                     const sim::MachineConfig& cfg) const
@@ -93,17 +81,6 @@ CampaignRunner::run(const std::vector<ScenarioSpec>& specs,
                        specs.size(), " specs");
     }
     return results;
-}
-
-std::vector<ProfileSet>
-CampaignRunner::run(const std::vector<CampaignSpec>& specs,
-                    const sim::MachineConfig& cfg) const
-{
-    std::vector<ScenarioSpec> scenarios;
-    scenarios.reserve(specs.size());
-    for (const auto& spec : specs)
-        scenarios.push_back(ScenarioSpec::fromCampaign(spec));
-    return run(scenarios, cfg);
 }
 
 bool

@@ -25,9 +25,9 @@
  *  - a campaign's entire trajectory is a pure function of (spec, machine
  *    config): Simulation(cfg, seed) owns the root RNG; the runtime forks
  *    stream 7, the profiler stream 8 and the background channel stream 9,
- *    exactly as the serial analysis::Campaign always did (plus the
- *    channel), so runner results replicate the legacy per-campaign loops
- *    bitwise when the scenario has no background;
+ *    so a background-free scenario replicates a hand-built
+ *    Simulation(cfg, seed) + HostRuntime(stream 7) + Profiler(stream 8)
+ *    node bitwise (tests/scenario_test.cpp);
  *  - the backend only decides *where* a campaign executes, never what
  *    it sees: specs never share a Simulation, a device, a logger or an
  *    Rng (the ExecutionBackend admissibility contract).
@@ -60,17 +60,14 @@ namespace fingrav::core {
  * resolved kernel, auto device count (full node for collectives, enough
  * devices for the background loads, 1 GPU otherwise), runtime RNG = root
  * stream 7, profiler RNG = root stream 8 (profilerRng()), background
- * channel = root stream 9 — mirroring analysis::Campaign exactly for
- * background-free scenarios.  Both CampaignRunner::runOne and
- * RecordedCampaign::record build on it, so the live and recorded
- * pipelines cannot drift apart.
+ * channel = root stream 9.  It is the only code that builds a campaign
+ * node: CampaignRunner::runOne, RecordedCampaign::record, the CLI and the
+ * benches all build on it, so the live and recorded pipelines cannot
+ * drift apart.
  */
 class CampaignNode {
   public:
     CampaignNode(const ScenarioSpec& spec, const sim::MachineConfig& cfg);
-
-    /** Legacy campaign description: an isolated-environment scenario. */
-    CampaignNode(const CampaignSpec& spec, const sim::MachineConfig& cfg);
 
     const kernels::KernelModelPtr& kernel() const { return kernel_; }
     sim::Simulation& simulation() { return sim_; }
@@ -127,25 +124,11 @@ class CampaignRunner {
                                  sim::mi300xConfig());
 
     /**
-     * Legacy overload: execute one campaign description.  Construction
-     * mirrors analysis::Campaign, so results are bit-identical to the
-     * pre-scenario profileOnFreshNode path.
-     */
-    static ProfileSet runOne(const CampaignSpec& spec,
-                             const sim::MachineConfig& cfg =
-                                 sim::mi300xConfig());
-
-    /**
      * Execute every scenario through the backend; results are in spec
      * order and bit-identical to running the specs serially, whatever
      * the backend's placement (threads, worker processes, retries).
      */
     std::vector<ProfileSet> run(const std::vector<ScenarioSpec>& specs,
-                                const sim::MachineConfig& cfg =
-                                    sim::mi300xConfig()) const;
-
-    /** Legacy overload: lifts each CampaignSpec into a scenario. */
-    std::vector<ProfileSet> run(const std::vector<CampaignSpec>& specs,
                                 const sim::MachineConfig& cfg =
                                     sim::mi300xConfig()) const;
 

@@ -13,11 +13,12 @@
  * through the nine-step methodology, plus any number of BackgroundLoads
  * — kernels executing on other devices of the node, or raw bandwidth
  * demand injected on the shared node fabric — with phase/offset/
- * duty-cycle scheduling.  The campaign engine (CampaignNode,
- * CampaignRunner, RecordedCampaign, analysis::profileOnFreshNode) builds
- * nodes from scenarios; the classic isolated campaign is simply a
- * scenario with an empty background list and replicates the legacy
- * CampaignSpec trajectory bitwise (tests/scenario_test.cpp).
+ * duty-cycle scheduling.  ScenarioSpec is the one way to describe a
+ * campaign: CampaignNode builds every campaign's node from it, and
+ * CampaignRunner and RecordedCampaign ride that node.  The classic
+ * isolated campaign is simply a scenario with an empty background list;
+ * it replicates a hand-built Simulation + HostRuntime + Profiler node
+ * bitwise (tests/scenario_test.cpp).
  *
  * Determinism: background launches are driven by the runtime's
  * background channel off a dedicated root-RNG stream (stream 9; the
@@ -105,7 +106,7 @@ const char* toString(BackgroundKind kind);
  */
 struct BackgroundLoad {
     BackgroundKind kind = BackgroundKind::kKernel;
-    /** Paper kernel label (kKernel; see kernels::kernelByLabel). */
+    /** Kernel label or shorthand (kKernel; see kernels::kernelByLabel). */
     std::string kernel;
     /** Fraction of one GPU's achievable fabric bandwidth (kFabricDemand). */
     double demand = 0.5;
@@ -130,23 +131,6 @@ struct BackgroundLoad {
 };
 
 /**
- * Legacy pre-scenario campaign description: kernel + opts + an opaque
- * profiling procedure, no environment.  Kept as the compatibility front
- * door; ScenarioSpec::fromCampaign lifts it into the scenario layer and
- * replicates its trajectory bitwise (tests/scenario_test.cpp).
- */
-struct CampaignSpec {
-    std::string label;          ///< kernel label (kernels/workloads.hpp)
-    std::uint64_t seed = 1;     ///< root seed; campaigns are bit-reproducible
-    ProfilerOptions opts;       ///< methodology knobs
-    /** GPUs to instantiate; 0 = auto (full node for collectives, 1 GPU
-     *  otherwise, as analysis::profileOnFreshNode always chose). */
-    std::size_t devices = 0;
-    /** Custom profiling procedure; null = core::Profiler::profile. */
-    ProfileFn profile_fn;
-};
-
-/**
  * One declarative profiling scenario: the unified spec type every
  * figure/table bench rides, and the spec/result contract unit
  * multi-process campaign execution serializes (fingrav/codec.hpp
@@ -155,7 +139,9 @@ struct CampaignSpec {
  * fingrav/worker_fleet.hpp).
  */
 struct ScenarioSpec {
-    std::string label;          ///< foreground kernel label
+    /** Foreground kernel: a paper label or a gemm:/gemv:/ag:/ar:
+     *  shorthand (kernels::kernelByLabel). */
+    std::string label;
     std::uint64_t seed = 1;     ///< root seed; scenarios are bit-reproducible
     ProfilerOptions opts;       ///< methodology knobs
     /** GPUs to instantiate; 0 = auto (full node for collectives or when
@@ -165,9 +151,6 @@ struct ScenarioSpec {
     ProfileFn profile_fn;
     /** Environment loads active while the foreground is profiled. */
     std::vector<BackgroundLoad> background;
-
-    /** Lift a legacy campaign description (isolated environment). */
-    static ScenarioSpec fromCampaign(const CampaignSpec& spec);
 };
 
 /**

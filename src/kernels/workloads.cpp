@@ -1,6 +1,9 @@
 #include "kernels/workloads.hpp"
 
+#include <charconv>
 #include <memory>
+#include <string_view>
+#include <vector>
 
 #include "support/logging.hpp"
 
@@ -72,9 +75,65 @@ paperKernels(const sim::MachineConfig& cfg)
     return out;
 }
 
+namespace {
+
+/**
+ * The comma-separated fields of a shorthand body, each a positive
+ * decimal integer filling its whole field; fatal (naming the spec)
+ * on a wrong field count, an empty or signed field, trailing junk, zero
+ * or an int64 overflow.
+ */
+std::vector<std::int64_t>
+shorthandFields(std::string_view body, std::size_t count,
+                const std::string& spec)
+{
+    std::vector<std::int64_t> out;
+    while (true) {
+        const auto comma = body.find(',');
+        const auto field = body.substr(0, comma);
+        std::int64_t value = 0;
+        const char* end = field.data() + field.size();
+        const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+        if (ec != std::errc() || ptr != end || value <= 0) {
+            support::fatal("kernelByLabel: bad kernel spec '", spec,
+                           "': '", field,
+                           "' is not a positive integer that fits int64");
+        }
+        out.push_back(value);
+        if (comma == std::string_view::npos)
+            break;
+        body.remove_prefix(comma + 1);
+    }
+    if (out.size() != count) {
+        support::fatal("kernelByLabel: bad kernel spec '", spec, "': needs ",
+                       count, " comma-separated field(s), got ", out.size());
+    }
+    return out;
+}
+
+}  // namespace
+
 KernelModelPtr
 kernelByLabel(const std::string& label, const sim::MachineConfig& cfg)
 {
+    const std::string_view spec(label);
+    if (spec.starts_with("gemm:")) {
+        const auto f = shorthandFields(spec.substr(5), 3, label);
+        GemmShape shape;
+        shape.m = f[0];
+        shape.n = f[1];
+        shape.k = f[2];
+        return std::make_shared<GemmKernel>(shape, cfg);
+    }
+    if (spec.starts_with("gemv:"))
+        return makeGemv(shorthandFields(spec.substr(5), 1, label)[0], cfg);
+    if (spec.starts_with("ag:") || spec.starts_with("ar:")) {
+        return makeCollective(spec[1] == 'g' ? CollectiveOp::kAllGather
+                                             : CollectiveOp::kAllReduce,
+                              shorthandFields(spec.substr(3), 1, label)[0],
+                              cfg);
+    }
+
     const auto all = paperKernels(cfg);
     for (auto& k : all) {
         if (k->label() == label)

@@ -12,6 +12,7 @@
 #include "analysis/ascii_plot.hpp"
 #include "analysis/report.hpp"
 #include "analysis/series.hpp"
+#include "fingrav/campaign_runner.hpp"
 #include "fingrav/profile.hpp"
 #include "kernels/workloads.hpp"
 #include "support/logging.hpp"
@@ -37,6 +38,18 @@ syntheticProfile(fc::ProfileKind kind, std::size_t n)
         p.add(pt);
     }
     return p;
+}
+
+/** One isolated campaign on a fresh node, without step-8 top-up. */
+fc::ProfileSet
+profileFresh(const char* label, std::uint64_t seed, std::size_t runs)
+{
+    fc::ScenarioSpec spec;
+    spec.label = label;
+    spec.seed = seed;
+    spec.opts.runs_override = runs;
+    spec.opts.collect_extra_runs = false;
+    return fc::CampaignRunner::runOne(spec);
 }
 
 }  // namespace
@@ -126,11 +139,8 @@ TEST(AsciiPlot, FixedYRangeClampsOutliers)
 
 TEST(Campaign, FreshNodeIsDeterministic)
 {
-    fc::ProfilerOptions opts;
-    opts.runs_override = 15;
-    opts.collect_extra_runs = false;
-    const auto a = an::profileOnFreshNode("MB-4K-GEMV", 77, opts);
-    const auto b = an::profileOnFreshNode("MB-4K-GEMV", 77, opts);
+    const auto a = profileFresh("MB-4K-GEMV", 77, 15);
+    const auto b = profileFresh("MB-4K-GEMV", 77, 15);
     ASSERT_EQ(a.ssp.size(), b.ssp.size());
     EXPECT_DOUBLE_EQ(a.ssp.meanPower(), b.ssp.meanPower());
     EXPECT_EQ(a.measured_exec_time.nanos(), b.measured_exec_time.nanos());
@@ -138,22 +148,16 @@ TEST(Campaign, FreshNodeIsDeterministic)
 
 TEST(Campaign, CollectiveGetsFullNode)
 {
-    fc::ProfilerOptions opts;
-    opts.runs_override = 5;
-    opts.collect_extra_runs = false;
     // Just exercising the path: a collective profiled on a fresh node must
     // not throw and must produce samples from the 8-GPU configuration.
-    const auto set = an::profileOnFreshNode("AG-64KB", 78, opts);
+    const auto set = profileFresh("AG-64KB", 78, 5);
     EXPECT_EQ(set.label, "AG-64KB");
     EXPECT_FALSE(set.timeline.empty());
 }
 
 TEST(Report, SummarizeContainsKeyFields)
 {
-    fc::ProfilerOptions opts;
-    opts.runs_override = 10;
-    opts.collect_extra_runs = false;
-    const auto set = an::profileOnFreshNode("CB-4K-GEMM", 79, opts);
+    const auto set = profileFresh("CB-4K-GEMM", 79, 10);
     const auto s = an::summarize(set);
     EXPECT_NE(s.find("CB-4K-GEMM"), std::string::npos);
     EXPECT_NE(s.find("golden"), std::string::npos);

@@ -4,42 +4,33 @@
  * removes, and only that tenet.
  */
 
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "fingrav/campaign_runner.hpp"
 #include "baselines/baseline_profilers.hpp"
 #include "fingrav/energy.hpp"
 #include "fingrav/profiler.hpp"
 #include "kernels/workloads.hpp"
-#include "runtime/host_runtime.hpp"
 #include "sim/machine_config.hpp"
-#include "sim/simulation.hpp"
 #include "support/statistics.hpp"
 #include "support/time_types.hpp"
+#include "tests/test_fixtures.hpp"
 
 namespace bl = fingrav::baselines;
 namespace fc = fingrav::core;
 namespace fk = fingrav::kernels;
 namespace fs = fingrav::support;
-namespace rt = fingrav::runtime;
 namespace sim = fingrav::sim;
 using namespace fingrav::support::literals;
 
 namespace {
 
-struct Node {
-    sim::MachineConfig cfg = sim::mi300xConfig();
-    std::unique_ptr<sim::Simulation> s;
-    std::unique_ptr<rt::HostRuntime> host;
+using fingrav::testing::nodeSpec;
 
-    explicit Node(std::uint64_t seed)
-    {
-        s = std::make_unique<sim::Simulation>(cfg, seed, 1);
-        host = std::make_unique<rt::HostRuntime>(*s, s->forkRng(7));
-    }
-};
+/** The stock MI300X description every node here runs. */
+const sim::MachineConfig kCfg = sim::mi300xConfig();
 
 double
 scatter(const fc::PowerProfile& p)
@@ -62,15 +53,15 @@ fastOpts()
 
 TEST(Baselines, UnsyncedProfileIsScrambled)
 {
-    Node ref(301);
-    const auto kernel = fk::makeSquareGemm(2048, ref.cfg);
+    fc::CampaignNode ref(nodeSpec(301), kCfg);
+    const auto kernel = fk::makeSquareGemm(2048, kCfg);
     const auto good =
-        fc::Profiler(*ref.host, fastOpts(), ref.s->forkRng(8))
+        fc::Profiler(ref.host(), fastOpts(), ref.profilerRng())
             .profile(kernel);
 
-    Node degraded(301);
-    bl::UnsyncedProfiler unsynced(*degraded.host, fastOpts(),
-                                  degraded.s->forkRng(8));
+    fc::CampaignNode degraded(nodeSpec(301), kCfg);
+    bl::UnsyncedProfiler unsynced(degraded.host(), fastOpts(),
+                                  degraded.profilerRng());
     const auto bad = unsynced.profile(kernel);
 
     // Same workload, same seed: only the timestamp mapping differs.  The
@@ -82,20 +73,20 @@ TEST(Baselines, UnsyncedProfileIsScrambled)
 
 TEST(Baselines, NoBinningKeepsEveryRun)
 {
-    Node node(302);
-    bl::NoBinningProfiler nobin(*node.host, fastOpts(),
-                                node.s->forkRng(8));
-    const auto set = nobin.profile(fk::makeSquareGemm(2048, node.cfg));
+    fc::CampaignNode node(nodeSpec(302), kCfg);
+    bl::NoBinningProfiler nobin(node.host(), fastOpts(),
+                                node.profilerRng());
+    const auto set = nobin.profile(fk::makeSquareGemm(2048, kCfg));
     EXPECT_EQ(set.binning.golden_runs.size(), set.runs_executed);
     EXPECT_EQ(set.binning.outlierCount(), 0u);
 }
 
 TEST(Baselines, LangStyleSkipsDelayAndBinning)
 {
-    Node node(303);
-    bl::LangStyleProfiler lang(*node.host, fastOpts(),
-                               node.s->forkRng(8));
-    const auto set = lang.profile(fk::makeSquareGemm(2048, node.cfg));
+    fc::CampaignNode node(nodeSpec(303), kCfg);
+    bl::LangStyleProfiler lang(node.host(), fastOpts(),
+                               node.profilerRng());
+    const auto set = lang.profile(fk::makeSquareGemm(2048, kCfg));
     // No read-delay accounting is visible in the report...
     EXPECT_DOUBLE_EQ(set.read_delay_us, 0.0);
     // ... and binning is off.
@@ -111,12 +102,12 @@ TEST(Baselines, CoarseLoggerStarvesShortKernels)
     // never catches a sample, LOIs are scarce, and the only way to get a
     // steady reading at all is to repeat the kernel for > 1000 executions
     // per run — the brute-force cost the 1 ms logger avoids.
-    Node node(304);
+    fc::CampaignNode node(nodeSpec(304), kCfg);
     fc::ProfilerOptions opts = fastOpts();
     opts.collect_extra_runs = false;
-    bl::CoarseLoggerProfiler coarse(*node.host, opts, node.s->forkRng(8),
+    bl::CoarseLoggerProfiler coarse(node.host(), opts, node.profilerRng(),
                                     50_ms);
-    const auto set = coarse.profile(fk::makeSquareGemm(2048, node.cfg));
+    const auto set = coarse.profile(fk::makeSquareGemm(2048, kCfg));
     EXPECT_LT(set.ssp.size(), 20u);
     EXPECT_EQ(set.sse.size(), 0u);
     EXPECT_GT(set.execs_per_run, 500u);
@@ -126,12 +117,12 @@ TEST(Baselines, CoarseLoggerStillSeesLongKernels)
 {
     // A >1 ms kernel remains visible even at a 10 ms window — the paper's
     // point is specifically about sub-window executions.
-    Node node(305);
+    fc::CampaignNode node(nodeSpec(305), kCfg);
     fc::ProfilerOptions opts;
     opts.runs_override = 40;
-    bl::CoarseLoggerProfiler coarse(*node.host, opts, node.s->forkRng(8),
+    bl::CoarseLoggerProfiler coarse(node.host(), opts, node.profilerRng(),
                                     10_ms);
-    const auto set = coarse.profile(fk::makeSquareGemm(8192, node.cfg));
+    const auto set = coarse.profile(fk::makeSquareGemm(8192, kCfg));
     EXPECT_FALSE(set.ssp.empty());
     EXPECT_GT(set.ssp.meanPower(), 350.0);
 }
@@ -140,10 +131,10 @@ TEST(Baselines, DriftCompensationImprovesLongCaptures)
 {
     // The future-work extension: with drift compensation the estimated
     // ppm must match the configured GPU drift.
-    Node node(306);
+    fc::CampaignNode node(nodeSpec(306), kCfg);
     fc::ProfilerOptions opts = fastOpts();
     opts.sync_mode = fc::SyncMode::kFinGraVDrift;
-    const auto set = fc::Profiler(*node.host, opts, node.s->forkRng(8))
-                         .profile(fk::makeSquareGemm(2048, node.cfg));
-    EXPECT_NEAR(set.drift_ppm, node.cfg.gpu_clock_drift_ppm, 1.5);
+    const auto set = fc::Profiler(node.host(), opts, node.profilerRng())
+                         .profile(fk::makeSquareGemm(2048, kCfg));
+    EXPECT_NEAR(set.drift_ppm, kCfg.gpu_clock_drift_ppm, 1.5);
 }

@@ -15,14 +15,11 @@
  */
 
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
-
-#include <sys/wait.h>
 
 #include <gtest/gtest.h>
 
@@ -356,18 +353,10 @@ TEST(CacheFault, CliCacheStatsSurveysACorruptedStore)
     bytes[bytes.size() / 2] ^= 0x01;
     writeFile(path, bytes);
 
-    const std::string cmd = std::string(FINGRAV_CLI_PATH) +
-                            " cache stats --cache-dir " + dir.path() +
-                            " 2>&1";
-    FILE* pipe = ::popen(cmd.c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
     std::string output;
-    char buffer[256];
-    while (std::fgets(buffer, sizeof buffer, pipe) != nullptr)
-        output += buffer;
-    const int status = ::pclose(pipe);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0);
+    EXPECT_EQ(fingrav::testing::runCli(
+                  "cache stats --cache-dir " + dir.path(), output),
+              0);
     EXPECT_NE(output.find("entries        : 2"), std::string::npos)
         << output;
     EXPECT_NE(output.find("valid entries  : 1"), std::string::npos)

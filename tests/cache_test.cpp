@@ -19,6 +19,9 @@
  * the FINGRAV_CLI_PATH compile definition (CMakeLists.txt).
  */
 
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -27,8 +30,10 @@
 
 #include "fingrav/campaign_cache.hpp"
 #include "fingrav/campaign_runner.hpp"
+#include "fingrav/codec.hpp"
 #include "fingrav/execution_backend.hpp"
 #include "fingrav/worker_fleet.hpp"
+#include "sim/machine_config.hpp"
 #include "support/logging.hpp"
 #include "tests/test_fixtures.hpp"
 
@@ -195,6 +200,57 @@ TEST(CampaignCache, DiskTierSurvivesProcessBoundary)
     EXPECT_EQ(scan.valid_entries, specs.size());
     EXPECT_EQ(scan.corrupt_entries, 0u);
     EXPECT_EQ(scan.temp_files, 0u);
+}
+
+TEST(CampaignCache, ScanCountsOtherVersionBlobsAsStale)
+{
+    // A blob written under another codec version is intact but never
+    // addressed again (the key embeds the version): cache stats counts it
+    // stale, not corrupt.  The checksum covers only the payload, so a
+    // patched version field leaves the rest of the blob valid.
+    auto specs = fig10Specs();
+    specs.resize(1);
+    TempDir dir("fingrav_cache");
+    fc::CacheOptions copts;
+    copts.dir = dir.path();
+    const fc::CampaignRunner writer(1);
+    writer.attachCache(std::make_shared<fc::CampaignCache>(copts));
+    writer.run(specs);
+
+    const std::string path = fc::CampaignCache::entryPath(
+        dir.path(),
+        fc::CampaignCache::key(specs[0], fingrav::sim::mi300xConfig()));
+    {
+        // Header layout: magic[0..3] version[4..5] (little-endian).
+        const std::uint16_t old = fc::codec::kVersion - 1;
+        const char version[2] = {static_cast<char>(old & 0xFF),
+                                 static_cast<char>(old >> 8)};
+        std::fstream blob(path,
+                          std::ios::in | std::ios::out | std::ios::binary);
+        ASSERT_TRUE(blob.is_open());
+        blob.seekp(4);
+        blob.write(version, 2);
+        ASSERT_TRUE(blob.good());
+    }
+    auto scan = fc::CampaignCache::scanDir(dir.path());
+    EXPECT_EQ(scan.entries, 1u);
+    EXPECT_EQ(scan.stale_entries, 1u);
+    EXPECT_EQ(scan.corrupt_entries, 0u);
+    EXPECT_EQ(scan.valid_entries, 0u);
+    std::string output;
+    EXPECT_EQ(fingrav::testing::runCli(
+                  "cache stats --cache-dir " + dir.path(), output),
+              0);
+    EXPECT_NE(output.find("stale entries  : 1"), std::string::npos)
+        << output;
+    EXPECT_NE(output.find("corrupt entries: 0"), std::string::npos)
+        << output;
+
+    // Truncated, the same blob is no longer intact: corrupt, not stale.
+    std::filesystem::resize_file(path, std::filesystem::file_size(path) - 1);
+    scan = fc::CampaignCache::scanDir(dir.path());
+    EXPECT_EQ(scan.stale_entries, 0u);
+    EXPECT_EQ(scan.corrupt_entries, 1u);
 }
 
 TEST(CampaignCache, StoreIsSharedAcrossBackends)

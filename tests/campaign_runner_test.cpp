@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/report.hpp"
 #include "fingrav/campaign_runner.hpp"
 #include "fingrav/recorded_campaign.hpp"
 #include "kernels/workloads.hpp"
@@ -24,20 +23,14 @@
 #include "support/time_types.hpp"
 #include "tests/test_fixtures.hpp"
 
-namespace an = fingrav::analysis;
 namespace fc = fingrav::core;
 namespace fs = fingrav::support;
 using namespace fingrav::support::literals;
 
 namespace {
 
+using fingrav::testing::mixedSpecs;
 using fingrav::testing::recordSpec;
-
-std::vector<fc::CampaignSpec>
-mixedSpecs()
-{
-    return fingrav::testing::mixedCampaignSpecs();
-}
 
 }  // namespace
 
@@ -64,7 +57,7 @@ TEST(CampaignRunner, SpecOrderDoesNotPerturbResults)
     // bitwise.
     auto specs = mixedSpecs();
     const auto forward = fc::CampaignRunner(4).run(specs);
-    std::vector<fc::CampaignSpec> reversed(specs.rbegin(), specs.rend());
+    std::vector<fc::ScenarioSpec> reversed(specs.rbegin(), specs.rend());
     const auto backward = fc::CampaignRunner(4).run(reversed);
     ASSERT_EQ(forward.size(), backward.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -72,31 +65,6 @@ TEST(CampaignRunner, SpecOrderDoesNotPerturbResults)
             forward[i], backward[specs.size() - 1 - i]))
             << specs[i].label;
     }
-}
-
-TEST(CampaignRunner, RunnerReplicatesLegacyCampaignPath)
-{
-    // runOne mirrors analysis::Campaign construction (runtime rng stream
-    // 7, profiler stream 8), so the ported benches reproduce the exact
-    // pre-runner numbers.
-    fc::ProfilerOptions opts;
-    opts.runs_override = 12;
-    opts.collect_extra_runs = false;
-
-    an::Campaign legacy(91);
-    const auto expected = legacy.run(
-        fingrav::kernels::kernelByLabel("CB-2K-GEMM", legacy.config()),
-        opts);
-
-    fc::CampaignSpec spec;
-    spec.label = "CB-2K-GEMM";
-    spec.seed = 91;
-    spec.opts = opts;
-    const auto actual = fc::CampaignRunner::runOne(spec);
-    EXPECT_TRUE(fc::identicalProfileSets(expected, actual));
-    // And the profileOnFreshNode wrapper rides the same path.
-    const auto wrapped = an::profileOnFreshNode("CB-2K-GEMM", 91, opts);
-    EXPECT_TRUE(fc::identicalProfileSets(expected, wrapped));
 }
 
 TEST(RecordedCampaign, SweepReuseBitIdenticalToReExecution)

@@ -3,36 +3,27 @@
  * Tests for the recommendation-R1 co-scheduling advisor.
  */
 
-#include <memory>
 
 #include <gtest/gtest.h>
 
+#include "fingrav/campaign_runner.hpp"
 #include "fingrav/concurrency.hpp"
 #include "kernels/workloads.hpp"
-#include "runtime/host_runtime.hpp"
 #include "sim/machine_config.hpp"
-#include "sim/simulation.hpp"
 #include "support/logging.hpp"
+#include "tests/test_fixtures.hpp"
 
 namespace fc = fingrav::core;
 namespace fk = fingrav::kernels;
 namespace fs = fingrav::support;
-namespace rt = fingrav::runtime;
 namespace sim = fingrav::sim;
 
 namespace {
 
-struct Node {
-    sim::MachineConfig cfg = sim::mi300xConfig();
-    std::unique_ptr<sim::Simulation> s;
-    std::unique_ptr<rt::HostRuntime> host;
+using fingrav::testing::nodeSpec;
 
-    explicit Node(std::uint64_t seed)
-    {
-        s = std::make_unique<sim::Simulation>(cfg, seed, 1);
-        host = std::make_unique<rt::HostRuntime>(*s, s->forkRng(7));
-    }
-};
+/** The stock MI300X description every node here runs. */
+const sim::MachineConfig kCfg = sim::mi300xConfig();
 
 }  // namespace
 
@@ -68,17 +59,17 @@ TEST(Complementarity, CollectiveVsGemmIsHighlyComplementary)
 
 TEST(Advisor, ComplementaryPairWinsWallTime)
 {
-    Node node(801);
-    fc::ConcurrencyAdvisor advisor(*node.host, node.s->forkRng(8));
-    const auto rep = advisor.evaluate(fk::makeSquareGemm(4096, node.cfg),
-                                      fk::makeGemv(8192, node.cfg),
+    fc::CampaignNode node(nodeSpec(801), kCfg);
+    fc::ConcurrencyAdvisor advisor(node.host(), node.profilerRng());
+    const auto rep = advisor.evaluate(fk::makeSquareGemm(4096, kCfg),
+                                      fk::makeGemv(8192, kCfg),
                                       /*iters=*/12, 1, 6);
     EXPECT_GT(rep.speedup, 1.15);
     EXPECT_GT(rep.concurrent_avg_w, rep.serial_avg_w);
     // Same work either way: energy within 20 %.
     EXPECT_NEAR(rep.concurrent_energy_j, rep.serial_energy_j,
                 0.2 * rep.serial_energy_j);
-    EXPECT_TRUE(rep.worthIt(node.cfg.dvfs.sustained_limit_w));
+    EXPECT_TRUE(rep.worthIt(kCfg.dvfs.sustained_limit_w));
 }
 
 TEST(Advisor, SelfPairGainsLittle)
@@ -87,22 +78,22 @@ TEST(Advisor, SelfPairGainsLittle)
     // and issue bandwidth: concurrency buys far less than for a
     // complementary pair (residual gain comes from filling each other's
     // pipeline bubbles).
-    Node node(802);
-    fc::ConcurrencyAdvisor advisor(*node.host, node.s->forkRng(8));
-    const auto rep = advisor.evaluate(fk::makeSquareGemm(4096, node.cfg),
-                                      fk::makeSquareGemm(4096, node.cfg),
+    fc::CampaignNode node(nodeSpec(802), kCfg);
+    fc::ConcurrencyAdvisor advisor(node.host(), node.profilerRng());
+    const auto rep = advisor.evaluate(fk::makeSquareGemm(4096, kCfg),
+                                      fk::makeSquareGemm(4096, kCfg),
                                       /*iters=*/10, 1, 1);
     EXPECT_LT(rep.speedup, 1.25);
 }
 
 TEST(Advisor, Validation)
 {
-    Node node(803);
-    fc::ConcurrencyAdvisor advisor(*node.host, node.s->forkRng(8));
-    const auto gemm = fk::makeSquareGemm(2048, node.cfg);
+    fc::CampaignNode node(nodeSpec(803), kCfg);
+    fc::ConcurrencyAdvisor advisor(node.host(), node.profilerRng());
+    const auto gemm = fk::makeSquareGemm(2048, kCfg);
     EXPECT_THROW(advisor.evaluate(nullptr, gemm), fs::FatalError);
     EXPECT_THROW(advisor.evaluate(gemm, gemm, 0), fs::FatalError);
     EXPECT_THROW(
-        advisor.evaluate(gemm, fk::kernelByLabel("AG-1GB", node.cfg)),
+        advisor.evaluate(gemm, fk::kernelByLabel("AG-1GB", kCfg)),
         fs::FatalError);
 }

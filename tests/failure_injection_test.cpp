@@ -19,42 +19,30 @@
 #include "fingrav/profile.hpp"
 #include "fingrav/profiler.hpp"
 #include "fingrav/worker_fleet.hpp"
-#include "kernels/workloads.hpp"
-#include "runtime/host_runtime.hpp"
 #include "sim/machine_config.hpp"
-#include "sim/simulation.hpp"
 #include "support/fault_injector.hpp"
 #include "support/logging.hpp"
 #include "support/run_journal.hpp"
 #include "tests/test_fixtures.hpp"
 
 namespace fc = fingrav::core;
-namespace fk = fingrav::kernels;
 namespace fs = fingrav::support;
-namespace rt = fingrav::runtime;
 namespace sim = fingrav::sim;
 
 namespace {
 
-struct Node {
-    sim::MachineConfig cfg;
-    std::unique_ptr<sim::Simulation> s;
-    std::unique_ptr<rt::HostRuntime> host;
-
-    explicit Node(std::uint64_t seed,
-                  const sim::MachineConfig& config = sim::mi300xConfig())
-        : cfg(config)
-    {
-        s = std::make_unique<sim::Simulation>(cfg, seed, 1);
-        host = std::make_unique<rt::HostRuntime>(*s, s->forkRng(7));
-    }
-
-    fc::ProfileSet
-    profile(const fk::KernelModelPtr& k, fc::ProfilerOptions opts)
-    {
-        return fc::Profiler(*host, opts, s->forkRng(8)).profile(k);
-    }
-};
+/** One isolated single-GPU campaign of a paper GEMM on `cfg`. */
+fc::ProfileSet
+profileOn(const char* label, std::uint64_t seed,
+          const fc::ProfilerOptions& opts,
+          const sim::MachineConfig& cfg = sim::mi300xConfig())
+{
+    fc::ScenarioSpec spec;
+    spec.label = label;
+    spec.seed = seed;
+    spec.opts = opts;
+    return fc::CampaignRunner::runOne(spec, cfg);
+}
 
 fc::ProfilerOptions
 fastOpts()
@@ -71,9 +59,7 @@ TEST(FailureInjection, ExtremeLoggerNoiseStillYieldsProfile)
 {
     auto cfg = sim::mi300xConfig();
     cfg.logger_noise_w = 25.0;  // 20x the realistic noise floor
-    Node node(601, cfg);
-    const auto set =
-        node.profile(fk::makeSquareGemm(2048, cfg), fastOpts());
+    const auto set = profileOn("CB-2K-GEMM", 601, fastOpts(), cfg);
     ASSERT_FALSE(set.ssp.empty());
     // The mean survives even if individual LOIs are noisy.
     EXPECT_NEAR(set.ssp.meanPower(), 585.0, 60.0);
@@ -87,15 +73,11 @@ TEST(FailureInjection, ExtremeDriftBreaksSingleAnchorSync)
     // executions and the SSP profile starves or scrambles.
     auto cfg = sim::mi300xConfig();
     cfg.gpu_clock_drift_ppm = 5000.0;
-    Node broken(602, cfg);
-    const auto degraded =
-        broken.profile(fk::makeSquareGemm(2048, cfg), fastOpts());
+    const auto degraded = profileOn("CB-2K-GEMM", 602, fastOpts(), cfg);
 
-    Node rescued(602, cfg);
     auto opts = fastOpts();
     opts.sync_mode = fc::SyncMode::kFinGraVDrift;
-    const auto fixed =
-        rescued.profile(fk::makeSquareGemm(2048, cfg), opts);
+    const auto fixed = profileOn("CB-2K-GEMM", 602, opts, cfg);
 
     // Single-anchor sync: millisecond-scale displacement moves every
     // sample out of the narrow SSE execution window — the SSE profile
@@ -114,10 +96,9 @@ TEST(FailureInjection, ExtremeDriftBreaksSingleAnchorSync)
 
 TEST(FailureInjection, ZeroMarginKeepsAtLeastOneRun)
 {
-    Node node(603);
     auto opts = fastOpts();
     opts.margin_override = 0.0;  // degenerate: exact-tie binning
-    const auto set = node.profile(fk::makeSquareGemm(2048, node.cfg), opts);
+    const auto set = profileOn("CB-2K-GEMM", 603, opts);
     // Execution times are effectively continuous, so the modal "bin" is a
     // single run — the pipeline must survive and say so.
     EXPECT_GE(set.binning.golden_runs.size(), 1u);
@@ -150,10 +131,9 @@ TEST(FailureInjection, OutlierStormStillBins)
     cfg.outlier_run_probability = 0.5;
     cfg.outlier_slowdown_min = 1.25;
     cfg.outlier_slowdown_max = 1.30;
-    Node node(604, cfg);
     auto opts = fastOpts();
     opts.runs_override = 120;
-    const auto set = node.profile(fk::makeSquareGemm(4096, cfg), opts);
+    const auto set = profileOn("CB-4K-GEMM", 604, opts, cfg);
     const double golden = set.binning.goldenFraction();
     EXPECT_GT(golden, 0.30);
     EXPECT_LT(golden, 0.75);
@@ -164,10 +144,9 @@ TEST(FailureInjection, OutlierStormStillBins)
 
 TEST(FailureInjection, TinyRunBudgetDegradesGracefully)
 {
-    Node node(605);
     auto opts = fastOpts();
     opts.runs_override = 5;
-    const auto set = node.profile(fk::makeSquareGemm(2048, node.cfg), opts);
+    const auto set = profileOn("CB-2K-GEMM", 605, opts);
     // Five runs of a 33 us kernel yield few LOIs — but never invalid ones.
     for (const auto& p : set.ssp.points()) {
         EXPECT_GE(p.toi_frac, 0.0);
@@ -268,12 +247,11 @@ TEST(FailureInjection, StepEightTopsUpLoiShortfall)
 {
     // With a tiny base budget and top-up enabled, the profiler must keep
     // adding runs until the Table I LOI target is met (or the cap hits).
-    Node node(606);
     fc::ProfilerOptions opts;
     opts.runs_override = 2;  // far below any useful yield
     opts.collect_extra_runs = true;
     opts.max_extra_run_factor = 20.0;
-    const auto set = node.profile(fk::makeSquareGemm(2048, node.cfg), opts);
+    const auto set = profileOn("CB-2K-GEMM", 606, opts);
     const auto target =
         set.guidance.recommendedLois(set.measured_exec_time);
     EXPECT_GE(set.ssp.size(), target);

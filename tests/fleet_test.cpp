@@ -28,6 +28,8 @@
  *    the cost-model scheduling observable;
  *  - overlapping execute() calls on one instance raise a loud
  *    FatalError instead of corrupting stats silently;
+ *  - kernel shorthand specs (gemm:M,N,K) give the same bits in process,
+ *    on the fleet and from the cache, as the CLI's --cache-dir runs show;
  *  - the CLI rejects unknown flags with the usage text and a nonzero
  *    exit.
  *
@@ -40,15 +42,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include <sys/wait.h>
-
 #include <gtest/gtest.h>
 
+#include "fingrav/campaign_cache.hpp"
 #include "fingrav/campaign_runner.hpp"
 #include "fingrav/cost_model.hpp"
 #include "fingrav/execution_backend.hpp"
@@ -70,6 +70,7 @@ namespace {
 
 using fingrav::testing::cliServeCommand;
 using fingrav::testing::expectAllIdentical;
+using fingrav::testing::runCli;
 using fs::DegradeKind;
 
 /** The shared Fig. 10 gate set at a test-sized run budget. */
@@ -159,6 +160,47 @@ TEST(FleetBackend, NWorkerBitIdenticalToThreadPoolAndSerial)
         EXPECT_TRUE(backend->lastStats().journal.empty())
             << backend->lastStats().journal.report();
     }
+}
+
+TEST(FleetBackend, ShorthandSpecBitIdenticalOnEveryPath)
+{
+    // A gemm:M,N,K shorthand resolves through kernels::kernelByLabel on
+    // every path: in process, on --serve workers and behind the cache
+    // key.  It names CB-2K-GEMM's kernel, so at the same seed and options
+    // it also replicates the paper-label campaign bitwise.
+    fc::ScenarioSpec shorthand;
+    shorthand.label = "gemm:2048,2048,2048";
+    shorthand.seed = 5;
+    shorthand.opts.runs_override = 10;
+    fc::ScenarioSpec paper = shorthand;
+    paper.label = "CB-2K-GEMM";
+    const std::vector<fc::ScenarioSpec> specs{shorthand, paper};
+
+    const auto reference = fc::CampaignRunner::runOne(shorthand);
+    ASSERT_FALSE(reference.ssp.empty());
+    EXPECT_TRUE(fc::identicalProfileSets(
+        reference, fc::CampaignRunner::runOne(paper)));
+
+    auto backend = std::make_shared<fc::FleetBackend>(fleetOptions(2));
+    const auto fleet = fc::CampaignRunner(backend).run(specs);
+    expectAllIdentical({reference, reference}, fleet, specs,
+                       "2-worker fleet vs runOne");
+    EXPECT_EQ(backend->lastStats().remote_specs, specs.size());
+    EXPECT_EQ(backend->lastStats().fallback_specs, 0u);
+
+    fingrav::testing::TempDir dir("fingrav_shorthand");
+    fc::CacheOptions copts;
+    copts.dir = dir.path();
+    {
+        const fc::CampaignRunner writer(1);
+        writer.attachCache(std::make_shared<fc::CampaignCache>(copts));
+        writer.run({shorthand});
+    }
+    fc::CampaignCache warm(copts);
+    const auto hit = warm.lookup(shorthand, fingrav::sim::mi300xConfig());
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_TRUE(fc::identicalProfileSets(reference, *hit));
+    EXPECT_EQ(warm.stats().disk_hits, 1u);
 }
 
 TEST(FleetBackend, SkewedMixBitIdenticalAcrossWorkerCounts)
@@ -657,17 +699,8 @@ TEST(FingravCli, UnknownFlagRejectedWithUsage)
 {
     // The trailing-junk satellite: an unknown --flag after a command
     // must print the usage text and exit nonzero (2), not be ignored.
-    const std::string cmd = std::string(FINGRAV_CLI_PATH) +
-                            " profile CB-2K-GEMM --frobnicate 2>&1";
-    FILE* pipe = ::popen(cmd.c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
     std::string output;
-    char buffer[256];
-    while (std::fgets(buffer, sizeof buffer, pipe) != nullptr)
-        output += buffer;
-    const int status = ::pclose(pipe);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 2);
+    EXPECT_EQ(runCli("profile CB-2K-GEMM --frobnicate", output), 2);
     EXPECT_NE(output.find("unknown option '--frobnicate'"),
               std::string::npos);
     EXPECT_NE(output.find("usage:"), std::string::npos);
@@ -679,16 +712,28 @@ TEST(FingravCli, UnknownFlagRejectedWithUsage)
 
 TEST(FingravCli, TrailingJunkAfterListRejected)
 {
-    const std::string cmd =
-        std::string(FINGRAV_CLI_PATH) + " list extra-junk 2>&1";
-    FILE* pipe = ::popen(cmd.c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
     std::string output;
-    char buffer[256];
-    while (std::fgets(buffer, sizeof buffer, pipe) != nullptr)
-        output += buffer;
-    const int status = ::pclose(pipe);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 2);
+    EXPECT_EQ(runCli("list extra-junk", output), 2);
     EXPECT_NE(output.find("usage:"), std::string::npos);
+}
+
+TEST(FingravCli, ShorthandSpecRunsWithCacheDir)
+{
+    // Shorthand kernels ride the one run path, so --cache-dir takes
+    // them: a cold run stores, a warm run hits, and both print the
+    // in-process summary.
+    const std::string run = "profile gemm:2048,2048,2048 --runs 10 "
+                            "--quiet --seed 5";
+    std::string plain;
+    ASSERT_EQ(runCli(run, plain), 0) << plain;
+    fingrav::testing::TempDir dir("fingrav_cli_cache");
+    std::string cold;
+    std::string warm;
+    ASSERT_EQ(runCli(run + " --cache-dir " + dir.path(), cold), 0) << cold;
+    ASSERT_EQ(runCli(run + " --cache-dir " + dir.path(), warm), 0) << warm;
+    EXPECT_EQ(cold.compare(0, plain.size(), plain), 0) << cold;
+    EXPECT_EQ(warm.compare(0, plain.size(), plain), 0) << warm;
+    EXPECT_NE(cold.find("1 store(s)"), std::string::npos) << cold;
+    EXPECT_NE(warm.find("1 hit(s) (0 memory, 1 disk)"), std::string::npos)
+        << warm;
 }

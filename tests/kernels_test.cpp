@@ -254,6 +254,35 @@ TEST(Workloads, PaperRegistryIsComplete)
     EXPECT_THROW(fk::kernelByLabel("CB-16K-GEMM", cfg()), fs::FatalError);
 }
 
+TEST(Workloads, ShorthandSpecsResolve)
+{
+    // The four shorthand forms build the kernel their numbers describe;
+    // the paper shapes land on the paper labels.
+    EXPECT_EQ(fk::kernelByLabel("gemm:2048,2048,2048", cfg())->label(),
+              "CB-2K-GEMM");
+    EXPECT_EQ(fk::kernelByLabel("gemv:4096", cfg())->label(), "MB-4K-GEMV");
+    EXPECT_EQ(fk::kernelByLabel("ag:128000", cfg())->label(), "AG-128KB");
+    EXPECT_EQ(fk::kernelByLabel("ar:1000000000", cfg())->label(), "AR-1GB");
+    EXPECT_EQ(fk::kernelByLabel("gemm:512,256,1024", cfg())->label(),
+              fk::GemmKernel({512, 256, 1024, 2}, cfg()).label());
+}
+
+TEST(Workloads, MalformedShorthandSpecsAreFatal)
+{
+    for (const char* bad : {
+             "ag:99999999999999999999",      // int64 overflow
+             "gemm:8192,8192,8192junk",      // trailing junk
+             "gemv:4096 ", "ar:1e9",         // junk after the digits
+             "gemm:,8192,8192", "gemm:1,,2", "gemv:", "ag:",  // empty
+             "gemv:0", "gemm:0,8,8", "ar:0",                  // zero
+             "gemv:-4096", "ag:-1", "gemm:8,-8,8",            // negative
+             "ar:+5", "gemv: 4096",          // sign or space prefix
+             "gemm:8,8", "gemm:8,8,8,8", "gemv:8,8",  // field count
+         }) {
+        EXPECT_THROW(fk::kernelByLabel(bad, cfg()), fs::FatalError) << bad;
+    }
+}
+
 TEST(PowerSignatures, PaperComponentOrderings)
 {
     // Instantaneous power signatures at steady state (before any windowed

@@ -5,25 +5,23 @@
  * mechanics.
  */
 
-#include <memory>
 
 #include <gtest/gtest.h>
 
+#include "fingrav/campaign_runner.hpp"
 #include "fingrav/energy.hpp"
 #include "fingrav/profile.hpp"
 #include "fingrav/run_executor.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/workloads.hpp"
-#include "runtime/host_runtime.hpp"
 #include "sim/machine_config.hpp"
-#include "sim/simulation.hpp"
 #include "support/logging.hpp"
 #include "support/time_types.hpp"
+#include "tests/test_fixtures.hpp"
 
 namespace fc = fingrav::core;
 namespace fk = fingrav::kernels;
 namespace fs = fingrav::support;
-namespace rt = fingrav::runtime;
 namespace sim = fingrav::sim;
 using namespace fingrav::support::literals;
 
@@ -90,26 +88,19 @@ TEST(Energy, InterleavingShift)
 
 namespace {
 
-struct Node {
-    sim::MachineConfig cfg = sim::mi300xConfig();
-    std::unique_ptr<sim::Simulation> s;
-    std::unique_ptr<rt::HostRuntime> host;
+using fingrav::testing::nodeSpec;
 
-    explicit Node(std::uint64_t seed)
-    {
-        s = std::make_unique<sim::Simulation>(cfg, seed, 1);
-        host = std::make_unique<rt::HostRuntime>(*s, s->forkRng(7));
-    }
-};
+/** The stock MI300X description every node here runs. */
+const sim::MachineConfig kCfg = sim::mi300xConfig();
 
 }  // namespace
 
 TEST(RunExecutor, RecordsExecutionsInOrderWithPower)
 {
-    Node node(901);
-    fc::RunExecutor exec(*node.host, node.s->forkRng(9));
+    fc::CampaignNode node(nodeSpec(901), kCfg);
+    fc::RunExecutor exec(node.host(), node.simulation().forkRng(9));
     fc::RunPlan plan;
-    plan.main = fk::makeSquareGemm(2048, node.cfg);
+    plan.main = fk::makeSquareGemm(2048, kCfg);
     plan.main_execs_per_block = 6;
     const auto rec = exec.executeRun(plan, 3);
     EXPECT_EQ(rec.run_index, 3u);
@@ -129,11 +120,11 @@ TEST(RunExecutor, RecordsExecutionsInOrderWithPower)
 
 TEST(RunExecutor, PreludeExecutesBeforeMainPerBlock)
 {
-    Node node(902);
-    fc::RunExecutor exec(*node.host, node.s->forkRng(9));
+    fc::CampaignNode node(nodeSpec(902), kCfg);
+    fc::RunExecutor exec(node.host(), node.simulation().forkRng(9));
     fc::RunPlan plan;
-    plan.main = fk::makeSquareGemm(2048, node.cfg);
-    plan.prelude = {{fk::makeGemv(4096, node.cfg), 3}};
+    plan.main = fk::makeSquareGemm(2048, kCfg);
+    plan.prelude = {{fk::makeGemv(4096, kCfg), 3}};
     plan.blocks = 2;
     plan.main_execs_per_block = 1;
     const auto rec = exec.executeRun(plan, 0, /*with_power=*/false);
@@ -148,11 +139,11 @@ TEST(RunExecutor, PreludeExecutesBeforeMainPerBlock)
 
 TEST(RunExecutor, PlanValidation)
 {
-    Node node(903);
-    fc::RunExecutor exec(*node.host, node.s->forkRng(9));
+    fc::CampaignNode node(nodeSpec(903), kCfg);
+    fc::RunExecutor exec(node.host(), node.simulation().forkRng(9));
     fc::RunPlan plan;  // no main kernel
     EXPECT_THROW(exec.executeRun(plan, 0), fs::FatalError);
-    plan.main = fk::makeSquareGemm(2048, node.cfg);
+    plan.main = fk::makeSquareGemm(2048, kCfg);
     plan.blocks = 0;
     EXPECT_THROW(exec.executeRun(plan, 0), fs::FatalError);
     plan.blocks = 1;
@@ -163,9 +154,9 @@ TEST(RunExecutor, PlanValidation)
 
 TEST(RunExecutor, OutlierRunsCarryPowerSignature)
 {
-    Node node(904);
-    fc::RunExecutor exec(*node.host, node.s->forkRng(9));
-    const auto model = fk::makeSquareGemm(4096, node.cfg);
+    fc::CampaignNode node(nodeSpec(904), kCfg);
+    fc::RunExecutor exec(node.host(), node.simulation().forkRng(9));
+    const auto model = fk::makeSquareGemm(4096, kCfg);
     const auto normal = exec.sampleWork(*model, 5, 1.0);
     const auto outlier = exec.sampleWork(*model, 5, 1.3);
     EXPECT_GT(outlier.nominal_duration.nanos(),

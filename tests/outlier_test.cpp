@@ -8,35 +8,34 @@
 
 #include <gtest/gtest.h>
 
+#include "fingrav/campaign_runner.hpp"
 #include "fingrav/outlier.hpp"
 #include "fingrav/profiler.hpp"
 #include "kernels/workloads.hpp"
-#include "runtime/host_runtime.hpp"
 #include "sim/machine_config.hpp"
-#include "sim/simulation.hpp"
 #include "support/logging.hpp"
+#include "tests/test_fixtures.hpp"
 
 namespace fc = fingrav::core;
 namespace fk = fingrav::kernels;
 namespace fs = fingrav::support;
-namespace rt = fingrav::runtime;
 namespace sim = fingrav::sim;
 
 namespace {
 
-struct Node {
-    sim::MachineConfig cfg = sim::mi300xConfig();
-    std::unique_ptr<sim::Simulation> s;
-    std::unique_ptr<rt::HostRuntime> host;
+using fingrav::testing::nodeSpec;
 
-    explicit Node(std::uint64_t seed, double outlier_prob = -1.0)
-    {
-        if (outlier_prob >= 0.0)
-            cfg.outlier_run_probability = outlier_prob;
-        s = std::make_unique<sim::Simulation>(cfg, seed, 1);
-        host = std::make_unique<rt::HostRuntime>(*s, s->forkRng(7));
-    }
-};
+/** The stock MI300X description every node here runs. */
+const sim::MachineConfig kCfg = sim::mi300xConfig();
+
+/** kCfg with the allocation-outlier run probability set to `p`. */
+sim::MachineConfig
+withOutliers(double p)
+{
+    auto cfg = kCfg;
+    cfg.outlier_run_probability = p;
+    return cfg;
+}
 
 }  // namespace
 
@@ -87,13 +86,13 @@ TEST(PhaseSlice, Validation)
 
 TEST(PhaseSlice, ProfilesEndToEnd)
 {
-    Node node(501);
+    fc::CampaignNode node(nodeSpec(501), kCfg);
     fc::ProfilerOptions opts;
     opts.runs_override = 60;
     const auto slice = std::make_shared<fk::PhaseSlice>(
-        fk::makeSquareGemm(4096, node.cfg), 0.0, 0.5);
+        fk::makeSquareGemm(4096, kCfg), 0.0, 0.5);
     const auto set =
-        fc::Profiler(*node.host, opts, node.s->forkRng(8)).profile(slice);
+        fc::Profiler(node.host(), opts, node.profilerRng()).profile(slice);
     EXPECT_FALSE(set.ssp.empty());
     // Half the kernel at the same utilization: similar power level.
     EXPECT_GT(set.ssp.meanPower(), 500.0);
@@ -102,12 +101,12 @@ TEST(PhaseSlice, ProfilesEndToEnd)
 TEST(OutlierProfiler, FindsAndProfilesOutlierBin)
 {
     // Raise the outlier rate so the probe reliably sees the population.
-    Node node(502, 0.15);
+    fc::CampaignNode node(nodeSpec(502), withOutliers(0.15));
     fc::ProfilerOptions opts;
     opts.runs_override = 80;
-    fc::OutlierProfiler profiler(*node.host, opts, node.s->forkRng(8));
+    fc::OutlierProfiler profiler(node.host(), opts, node.profilerRng());
     const auto result =
-        profiler.profile(fk::makeSquareGemm(4096, node.cfg));
+        profiler.profile(fk::makeSquareGemm(4096, kCfg));
 
     ASSERT_TRUE(result.outlier_found);
     // The outlier bin sits meaningfully above the common one.
@@ -124,14 +123,14 @@ TEST(OutlierProfiler, FindsAndProfilesOutlierBin)
 
 TEST(OutlierProfiler, ReportsWhenNoOutliersExist)
 {
-    Node node(503, 0.0);  // outliers disabled
+    fc::CampaignNode node(nodeSpec(503), withOutliers(0.0));  // none
     fc::ProfilerOptions opts;
     opts.runs_override = 40;
-    fc::OutlierProfiler profiler(*node.host, opts, node.s->forkRng(8));
+    fc::OutlierProfiler profiler(node.host(), opts, node.profilerRng());
     const auto result =
-        profiler.profile(fk::makeSquareGemm(4096, node.cfg));
+        profiler.profile(fk::makeSquareGemm(4096, kCfg));
     EXPECT_FALSE(result.outlier_found);
     EXPECT_FALSE(result.common.ssp.empty());
-    EXPECT_THROW(profiler.profile(fk::makeSquareGemm(4096, node.cfg), 0.0),
+    EXPECT_THROW(profiler.profile(fk::makeSquareGemm(4096, kCfg), 0.0),
                  fs::FatalError);
 }

@@ -12,13 +12,12 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/report.hpp"
+#include "fingrav/campaign_runner.hpp"
 #include "fingrav/energy.hpp"
 #include "fingrav/profiler.hpp"
 #include "kernels/workloads.hpp"
 #include "support/statistics.hpp"
 
-namespace an = fingrav::analysis;
 namespace fc = fingrav::core;
 namespace fs = fingrav::support;
 
@@ -33,11 +32,12 @@ class PaperFacts : public ::testing::Test {
         static std::map<std::string, fc::ProfileSet> cache;
         auto it = cache.find(label);
         if (it == cache.end()) {
-            fc::ProfilerOptions opts;
-            opts.runs_override = 80;
             static std::uint64_t seed = 42000;
-            it = cache.emplace(label,
-                               an::profileOnFreshNode(label, seed++, opts))
+            fc::ScenarioSpec spec;
+            spec.label = label;
+            spec.seed = seed++;
+            spec.opts.runs_override = 80;
+            it = cache.emplace(label, fc::CampaignRunner::runOne(spec))
                      .first;
         }
         return it->second;

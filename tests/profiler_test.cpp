@@ -8,49 +8,40 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
-#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "fingrav/binning.hpp"
+#include "fingrav/campaign_runner.hpp"
 #include "fingrav/differentiation.hpp"
 #include "fingrav/energy.hpp"
 #include "fingrav/guidance.hpp"
 #include "fingrav/profiler.hpp"
 #include "fingrav/time_sync.hpp"
 #include "kernels/workloads.hpp"
-#include "runtime/host_runtime.hpp"
 #include "sim/machine_config.hpp"
-#include "sim/simulation.hpp"
 #include "support/logging.hpp"
+#include "tests/test_fixtures.hpp"
 
 namespace fc = fingrav::core;
 namespace fk = fingrav::kernels;
 namespace fs = fingrav::support;
-namespace rt = fingrav::runtime;
 namespace sim = fingrav::sim;
 using namespace fingrav::support::literals;
 
 namespace {
 
-/** A fresh node + runtime + profiler bundle for one campaign. */
-struct Bench {
-    sim::MachineConfig cfg = sim::mi300xConfig();
-    std::unique_ptr<sim::Simulation> sim;
-    std::unique_ptr<rt::HostRuntime> host;
+using fingrav::testing::nodeSpec;
 
-    explicit Bench(std::uint64_t seed, std::size_t devices = 1)
-    {
-        sim = std::make_unique<sim::Simulation>(cfg, seed, devices);
-        host = std::make_unique<rt::HostRuntime>(*sim, sim->forkRng(7));
-    }
+/** The stock MI300X description every node here runs. */
+const sim::MachineConfig kCfg = sim::mi300xConfig();
 
-    fc::Profiler
-    profiler(fc::ProfilerOptions opts = {})
-    {
-        return fc::Profiler(*host, opts, sim->forkRng(8));
-    }
-};
+/** A FinGraV profiler over `node`'s runtime and profiler stream. */
+fc::Profiler
+profilerOn(fc::CampaignNode& node, fc::ProfilerOptions opts = {})
+{
+    return fc::Profiler(node.host(), opts, node.profilerRng());
+}
 
 }  // namespace
 
@@ -121,17 +112,17 @@ TEST(Guidance, BoundaryAndValidation)
 
 TEST(TimeSyncS2, TranslationAccuracyWithinMicroseconds)
 {
-    Bench b(101);
-    auto sync = fc::TimeSync::calibrate(*b.host);
+    fc::CampaignNode b(nodeSpec(101), kCfg);
+    auto sync = fc::TimeSync::calibrate(b.host());
     // Oracle: pick master times and compare the sync translation of the
     // true GPU counter against the true CPU clock.
-    const auto& gpu = b.sim->device(0).gpuClock();
+    const auto& gpu = b.simulation().device(0).gpuClock();
     for (double offset_s : {0.01, 0.1, 0.5}) {
         const auto master =
-            b.host->masterNow() + fs::Duration::seconds(offset_s);
+            b.host().masterNow() + fs::Duration::seconds(offset_s);
         const auto counter = gpu.readCounter(master);
         const auto cpu_est = sync.gpuCounterToCpuNs(counter);
-        const auto cpu_true = b.host->cpuClockAt(master);
+        const auto cpu_true = b.host().cpuClockAt(master);
         // Error: read jitter (~0.2us) + drift (4ppm * elapsed).
         const double bound_ns = 800.0 + 5e-6 * offset_s * 1e9 + 200.0;
         EXPECT_NEAR(static_cast<double>(cpu_est - cpu_true), 0.0, bound_ns)
@@ -141,16 +132,16 @@ TEST(TimeSyncS2, TranslationAccuracyWithinMicroseconds)
 
 TEST(TimeSyncS2, IgnoringDelayBiasesTranslation)
 {
-    Bench b(102);
-    auto good = fc::TimeSync::calibrate(*b.host);
-    auto lang = fc::TimeSync::calibrateIgnoringDelay(*b.host);
-    const auto& gpu = b.sim->device(0).gpuClock();
-    const auto master = b.host->masterNow() + fs::Duration::millis(10.0);
+    fc::CampaignNode b(nodeSpec(102), kCfg);
+    auto good = fc::TimeSync::calibrate(b.host());
+    auto lang = fc::TimeSync::calibrateIgnoringDelay(b.host());
+    const auto& gpu = b.simulation().device(0).gpuClock();
+    const auto master = b.host().masterNow() + fs::Duration::millis(10.0);
     const auto counter = gpu.readCounter(master);
     const auto err_good =
-        good.gpuCounterToCpuNs(counter) - b.host->cpuClockAt(master);
+        good.gpuCounterToCpuNs(counter) - b.host().cpuClockAt(master);
     const auto err_lang =
-        lang.gpuCounterToCpuNs(counter) - b.host->cpuClockAt(master);
+        lang.gpuCounterToCpuNs(counter) - b.host().cpuClockAt(master);
     // The un-accounted half-round-trip (~0.75us) appears as bias.
     EXPECT_LT(std::abs(err_good), std::abs(err_lang));
     EXPECT_GT(std::abs(err_lang), 400);
@@ -158,12 +149,12 @@ TEST(TimeSyncS2, IgnoringDelayBiasesTranslation)
 
 TEST(TimeSyncS2, DriftAnchorRecoversConfiguredDrift)
 {
-    Bench b(103);
-    auto sync = fc::TimeSync::calibrate(*b.host);
-    b.host->sleep(fs::Duration::seconds(2.0));
-    sync.addDriftAnchor(*b.host);
+    fc::CampaignNode b(nodeSpec(103), kCfg);
+    auto sync = fc::TimeSync::calibrate(b.host());
+    b.host().sleep(fs::Duration::seconds(2.0));
+    sync.addDriftAnchor(b.host());
     EXPECT_TRUE(sync.driftCompensated());
-    EXPECT_NEAR(sync.estimatedDriftPpm(), b.cfg.gpu_clock_drift_ppm, 1.0);
+    EXPECT_NEAR(sync.estimatedDriftPpm(), kCfg.gpu_clock_drift_ppm, 1.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -245,11 +236,11 @@ TEST(Binner, MarginValidation)
 
 TEST(ProfilerPipeline, TwoKGemmEndToEnd)
 {
-    Bench b(201);
+    fc::CampaignNode b(nodeSpec(201), kCfg);
     fc::ProfilerOptions opts;
     opts.runs_override = 80;  // keep the test fast; benches use Table I
-    auto profiler = b.profiler(opts);
-    const auto set = profiler.profile(fk::makeSquareGemm(2048, b.cfg));
+    auto profiler = profilerOn(b, opts);
+    const auto set = profiler.profile(fk::makeSquareGemm(2048, kCfg));
 
     EXPECT_EQ(set.label, "CB-2K-GEMM");
     // Step 1: measured time in the 25-50us guidance row (overheads incl.).
@@ -280,11 +271,11 @@ TEST(ProfilerPipeline, TwoKGemmEndToEnd)
 
 TEST(ProfilerPipeline, EightKGemmEndToEnd)
 {
-    Bench b(202);
+    fc::CampaignNode b(nodeSpec(202), kCfg);
     fc::ProfilerOptions opts;
     opts.runs_override = 40;
-    auto profiler = b.profiler(opts);
-    const auto set = profiler.profile(fk::makeSquareGemm(8192, b.cfg));
+    auto profiler = profilerOn(b, opts);
+    const auto set = profiler.profile(fk::makeSquareGemm(8192, kCfg));
 
     EXPECT_EQ(set.label, "CB-8K-GEMM");
     EXPECT_GT(set.measured_exec_time.toMillis(), 1.0);
@@ -305,11 +296,11 @@ TEST(ProfilerPipeline, EightKGemmEndToEnd)
 
 TEST(ProfilerPipeline, GemvEndToEnd)
 {
-    Bench b(203);
+    fc::CampaignNode b(nodeSpec(203), kCfg);
     fc::ProfilerOptions opts;
     opts.runs_override = 80;
-    auto profiler = b.profiler(opts);
-    const auto set = profiler.profile(fk::makeGemv(8192, b.cfg));
+    auto profiler = profilerOn(b, opts);
+    const auto set = profiler.profile(fk::makeGemv(8192, kCfg));
     EXPECT_EQ(set.label, "MB-8K-GEMV");
     // The paper's GEMVs land in Table I's shortest bracket (25-50 us).
     EXPECT_GT(set.measured_exec_time.toMicros(), 25.0);
@@ -323,30 +314,30 @@ TEST(ProfilerPipeline, GemvEndToEnd)
 
 TEST(ProfilerPipeline, CollectiveEndToEndOnNode)
 {
-    Bench b(204, 8);
+    fc::CampaignNode b(nodeSpec(204, 8), kCfg);
     fc::ProfilerOptions opts;
     opts.runs_override = 30;
-    auto profiler = b.profiler(opts);
+    auto profiler = profilerOn(b, opts);
     const auto set = profiler.profile(
-        fk::kernelByLabel("AG-1GB", b.cfg));
+        fk::kernelByLabel("AG-1GB", kCfg));
     EXPECT_FALSE(set.ssp.empty());
     // Bandwidth-bound collective: IOD is the dominant dynamic rail.
     EXPECT_GT(set.ssp.meanPower(fc::Rail::kIod),
               set.ssp.meanPower(fc::Rail::kXcd));
     // All eight devices executed the collective.
     for (std::size_t d = 0; d < 8; ++d)
-        EXPECT_FALSE(b.host->deviceExecutionLog(d).empty()) << d;
+        EXPECT_FALSE(b.host().deviceExecutionLog(d).empty()) << d;
 }
 
 TEST(ProfilerPipeline, ToiCoverageSpansExecution)
 {
     // Random inter-run delays must spread TOIs across the kernel, not
     // cluster them at one phase (step 5's purpose).
-    Bench b(205);
+    fc::CampaignNode b(nodeSpec(205), kCfg);
     fc::ProfilerOptions opts;
     opts.runs_override = 120;
-    auto profiler = b.profiler(opts);
-    const auto set = profiler.profile(fk::makeSquareGemm(2048, b.cfg));
+    auto profiler = profilerOn(b, opts);
+    const auto set = profiler.profile(fk::makeSquareGemm(2048, kCfg));
     ASSERT_GE(set.ssp.size(), 10u);
     double lo = 1.0;
     double hi = 0.0;
@@ -364,24 +355,24 @@ TEST(ProfilerPipeline, InterleavedContaminationDirections)
 {
     // Fig. 9: compute-heavy preludes pull a short kernel's measured power
     // up; memory-bound preludes pull it down.
-    Bench iso(206);
+    fc::CampaignNode iso(nodeSpec(206), kCfg);
     fc::ProfilerOptions opts;
     opts.runs_override = 80;
     auto iso_set =
-        iso.profiler(opts).profile(fk::makeSquareGemm(2048, iso.cfg));
+        profilerOn(iso, opts).profile(fk::makeSquareGemm(2048, kCfg));
 
-    Bench up(207);
+    fc::CampaignNode up(nodeSpec(207), kCfg);
     std::vector<fc::InterleaveItem> cb_prelude{
-        {fk::makeSquareGemm(8192, up.cfg), 1},
-        {fk::makeSquareGemm(4096, up.cfg), 1}};
-    auto up_set = up.profiler(opts).profileInterleaved(
-        fk::makeSquareGemm(2048, up.cfg), cb_prelude, 6);
+        {fk::makeSquareGemm(8192, kCfg), 1},
+        {fk::makeSquareGemm(4096, kCfg), 1}};
+    auto up_set = profilerOn(up, opts).profileInterleaved(
+        fk::makeSquareGemm(2048, kCfg), cb_prelude, 6);
 
-    Bench down(208);
+    fc::CampaignNode down(nodeSpec(208), kCfg);
     std::vector<fc::InterleaveItem> mb_prelude{
-        {fk::makeGemv(4096, down.cfg), 40}};
-    auto down_set = down.profiler(opts).profileInterleaved(
-        fk::makeSquareGemm(2048, down.cfg), mb_prelude, 6);
+        {fk::makeGemv(4096, kCfg), 40}};
+    auto down_set = profilerOn(down, opts).profileInterleaved(
+        fk::makeSquareGemm(2048, kCfg), mb_prelude, 6);
 
     ASSERT_FALSE(iso_set.ssp.empty());
     ASSERT_FALSE(up_set.ssp.empty());
@@ -396,15 +387,15 @@ TEST(ProfilerPipeline, InterleavedContaminationDirections)
 
 TEST(ProfilerPipeline, OptionValidation)
 {
-    Bench b(209);
+    fc::CampaignNode b(nodeSpec(209), kCfg);
     fc::ProfilerOptions opts;
     opts.device = 5;  // single-device sim
-    EXPECT_THROW(b.profiler(opts), fs::FatalError);
+    EXPECT_THROW(profilerOn(b, opts), fs::FatalError);
 
     fc::ProfilerOptions ok;
-    auto profiler = b.profiler(ok);
+    auto profiler = profilerOn(b, ok);
     EXPECT_THROW(profiler.profile(nullptr), fs::FatalError);
     EXPECT_THROW(profiler.profileInterleaved(
-                     fk::makeSquareGemm(2048, b.cfg), {}, 6),
+                     fk::makeSquareGemm(2048, kCfg), {}, 6),
                  fs::FatalError);
 }

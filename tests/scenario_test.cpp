@@ -4,8 +4,8 @@
  * engine.
  *
  * Locks the properties the scenario refactor is only admissible with:
- *  - legacy CampaignSpec descriptions are replicated bitwise by their
- *    scenario lift (an isolated scenario IS the pre-scenario campaign);
+ *  - an isolated scenario replicates a hand-built node (runtime stream
+ *    7, profiler stream 8) bitwise, on every campaign path;
  *  - scenario trajectories are deterministic — re-running a spec, and
  *    fanning a spec set over 1/2/8 runner threads, reproduce results
  *    bitwise (background launches ride a dedicated root-RNG stream);
@@ -24,9 +24,12 @@
 
 #include "analysis/report.hpp"
 #include "fingrav/campaign_runner.hpp"
+#include "fingrav/profiler.hpp"
 #include "fingrav/recorded_campaign.hpp"
 #include "fingrav/scenario.hpp"
 #include "kernels/workloads.hpp"
+#include "runtime/host_runtime.hpp"
+#include "sim/simulation.hpp"
 #include "support/logging.hpp"
 #include "support/time_types.hpp"
 
@@ -69,37 +72,45 @@ contendedCollective(std::uint64_t seed)
 
 }  // namespace
 
-TEST(Scenario, LegacyCampaignSpecReplicatedBitwise)
+TEST(Scenario, IsolatedScenarioReplicatesHandBuiltNode)
 {
-    fc::ProfilerOptions opts;
-    opts.runs_override = 10;
-    opts.collect_extra_runs = false;
+    // The stream contract of campaign construction, checked against a
+    // node built by hand: Simulation(cfg, seed, 1 GPU), runtime = root
+    // stream 7, profiler = root stream 8.  An isolated scenario must
+    // replicate it bitwise through runOne, through the runner, and
+    // through a CampaignNode driven by hand (the CLI's and the benches'
+    // path), at auto and at explicit single-GPU device counts.
+    const auto cfg = fingrav::sim::mi300xConfig();
+    for (const std::size_t runs : {10u, 12u}) {
+        fc::ProfilerOptions opts;
+        opts.runs_override = runs;
+        opts.collect_extra_runs = false;
 
-    fc::CampaignSpec legacy;
-    legacy.label = "CB-2K-GEMM";
-    legacy.seed = 91;
-    legacy.opts = opts;
+        fingrav::sim::Simulation sim(cfg, 91, 1);
+        fingrav::runtime::HostRuntime host(sim, sim.forkRng(7));
+        const auto expected =
+            fc::Profiler(host, opts, sim.forkRng(8))
+                .profile(fingrav::kernels::kernelByLabel("CB-2K-GEMM", cfg));
 
-    // The pre-scenario construction (analysis::Campaign: runtime stream
-    // 7, profiler stream 8) is the reference trajectory.
-    an::Campaign reference(91);
-    const auto expected = reference.run(
-        fingrav::kernels::kernelByLabel("CB-2K-GEMM", reference.config()),
-        opts);
+        fc::ScenarioSpec isolated;
+        isolated.label = "CB-2K-GEMM";
+        isolated.seed = 91;
+        isolated.opts = opts;
+        EXPECT_TRUE(fc::identicalProfileSets(
+            expected, fc::CampaignRunner::runOne(isolated)))
+            << runs << " runs";
+        EXPECT_TRUE(fc::identicalProfileSets(
+            expected, fc::CampaignRunner(1).run({isolated}).front()))
+            << runs << " runs";
 
-    // Legacy spec through the runner, its scenario lift, and a hand-built
-    // isolated scenario must all replicate it bitwise.
-    EXPECT_TRUE(fc::identicalProfileSets(
-        expected, fc::CampaignRunner::runOne(legacy)));
-    EXPECT_TRUE(fc::identicalProfileSets(
-        expected,
-        fc::CampaignRunner::runOne(fc::ScenarioSpec::fromCampaign(legacy))));
-    fc::ScenarioSpec isolated;
-    isolated.label = legacy.label;
-    isolated.seed = legacy.seed;
-    isolated.opts = legacy.opts;
-    EXPECT_TRUE(fc::identicalProfileSets(
-        expected, fc::CampaignRunner::runOne(isolated)));
+        fc::ScenarioSpec one_gpu = isolated;
+        one_gpu.devices = 1;
+        fc::CampaignNode node(one_gpu, cfg);
+        EXPECT_TRUE(fc::identicalProfileSets(
+            expected, fc::Profiler(node.host(), opts, node.profilerRng())
+                          .profile(node.kernel())))
+            << runs << " runs";
+    }
 }
 
 TEST(Scenario, TrajectoryIsDeterministic)

@@ -14,17 +14,20 @@
  *
  * gtest-dependent helpers (expectAllIdentical) appear only when
  * <gtest/gtest.h> was included first; benches get the plain-bool
- * identicalSets and the spec builders.  The CLI worker command helper
- * appears only for targets compiled with FINGRAV_CLI_PATH.
+ * identicalSets and the spec builders.  The CLI helpers (worker
+ * command, runCli) appear only for targets compiled with
+ * FINGRAV_CLI_PATH.
  */
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <stdlib.h>
+#include <sys/wait.h>
 
 #include "analysis/report.hpp"
 #include "fingrav/campaign_runner.hpp"
@@ -44,41 +47,33 @@ fig10Specs(std::size_t runs = 6, bool with_contended = true)
 }
 
 /**
- * The nine Fig. 10 labels with bench_fig10's seeds (10001+) under
- * caller-chosen profiler options, no contended extra — the exact spec
- * list bench_campaign has always gated on (it does not force
- * collect_extra_runs off, unlike fig10Specs).
+ * The nine Fig. 10 specs of analysis::fig10ScenarioSet (labels, seeds
+ * 10001+) under caller-chosen profiler options, no contended extra —
+ * the exact spec list bench_campaign has always gated on (it does not
+ * force collect_extra_runs off, unlike fig10Specs).
  */
 inline std::vector<core::ScenarioSpec>
 fig10SpecsWithOptions(const core::ProfilerOptions& opts)
 {
-    std::vector<core::ScenarioSpec> specs;
-    std::uint64_t seed = 10001;
-    for (const char* label :
-         {"AG-64KB", "AG-128KB", "AG-512MB", "AG-1GB", "AR-64KB",
-          "AR-128KB", "AR-512MB", "AR-1GB", "CB-8K-GEMM"}) {
-        core::ScenarioSpec spec;
-        spec.label = label;
-        spec.seed = seed++;
+    auto specs = analysis::fig10ScenarioSet(0, false);
+    for (auto& spec : specs)
         spec.opts = opts;
-        specs.push_back(std::move(spec));
-    }
     return specs;
 }
 
 /** Small mixed campaign set (compute, memory and collective kernels). */
-inline std::vector<core::CampaignSpec>
-mixedCampaignSpecs()
+inline std::vector<core::ScenarioSpec>
+mixedSpecs()
 {
     core::ProfilerOptions cheap;
     cheap.runs_override = 10;
     cheap.collect_extra_runs = false;
 
-    std::vector<core::CampaignSpec> specs;
+    std::vector<core::ScenarioSpec> specs;
     for (const char* label :
          {"CB-2K-GEMM", "MB-4K-GEMV", "AG-64KB", "CB-4K-GEMM",
           "AR-128KB", "MB-2K-GEMV"}) {
-        core::CampaignSpec spec;
+        core::ScenarioSpec spec;
         spec.label = label;
         spec.seed = 4000 + specs.size();
         spec.opts = cheap;
@@ -88,14 +83,30 @@ mixedCampaignSpecs()
 }
 
 /** The canonical RecordedCampaign spec (run-pool top-up enabled). */
-inline core::CampaignSpec
+inline core::ScenarioSpec
 recordSpec()
 {
-    core::CampaignSpec spec;
+    core::ScenarioSpec spec;
     spec.label = "CB-8K-GEMM";
     spec.seed = 5150;
     spec.opts.runs_override = 8;
     spec.opts.max_extra_run_factor = 0.5;
+    return spec;
+}
+
+/**
+ * The spec of a fresh campaign node at `seed` (one GPU by default), for
+ * suites that drive the runtime, profilers or executors on a
+ * CampaignNode by hand.  The CB-2K-GEMM label only names the node's own
+ * kernel; suites run whatever kernels they need on it.
+ */
+inline core::ScenarioSpec
+nodeSpec(std::uint64_t seed, std::size_t devices = 1)
+{
+    core::ScenarioSpec spec;
+    spec.label = "CB-2K-GEMM";
+    spec.seed = seed;
+    spec.devices = devices;
     return spec;
 }
 
@@ -150,6 +161,23 @@ inline std::vector<std::string>
 cliServeCommand()
 {
     return {FINGRAV_CLI_PATH, "--serve"};
+}
+
+/** Run fingrav_cli with `args`, stderr folded into `output`; the exit
+ *  code, or -1 when the CLI could not be run or did not exit. */
+inline int
+runCli(const std::string& args, std::string& output)
+{
+    const std::string cmd =
+        std::string(FINGRAV_CLI_PATH) + " " + args + " 2>&1";
+    FILE* pipe = ::popen(cmd.c_str(), "r");
+    if (pipe == nullptr)
+        return -1;
+    char buffer[256];
+    while (std::fgets(buffer, sizeof buffer, pipe) != nullptr)
+        output += buffer;
+    const int status = ::pclose(pipe);
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 #endif
 

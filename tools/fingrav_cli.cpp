@@ -11,18 +11,22 @@
  *       Profile two kernels and compare rails side by side.
  *   fingrav coschedule <kernel-a> <kernel-b> [options]
  *       Evaluate recommendation-R1 co-scheduling of a pair.
- *   fingrav campaign <label> [<label>...] [options]
- *       Profile a set of paper kernels as one campaign set — in
- *       process by default, dispatched to a fleet of worker
- *       subprocesses of this same binary with --fleet N.
+ *   fingrav campaign <kernel> [<kernel>...] [options]
+ *       Profile a set of kernels as one campaign set.
  *   fingrav cache stats --cache-dir DIR
  *       Survey an on-disk campaign cache: blob count, bytes, how many
- *       entries revalidate, leftover write-temps.
+ *       entries revalidate, are stale (another codec version) or are
+ *       corrupt, leftover write-temps.
  *   fingrav --serve [--cache-dir DIR]
  *       Fleet-worker mode: serve length-prefixed campaign requests on
  *       stdin/stdout, resident across requests; answers kPing
  *       keepalives, exits on kShutdown or EOF (spawned by --fleet
  *       drivers; not for humans).
+ *
+ * profile, compare and campaign share one run path: their kernels
+ * become core::ScenarioSpecs executed by a core::CampaignRunner — in
+ * process by default, dispatched to a fleet of worker subprocesses of
+ * this same binary with --fleet N, memoized with --cache-dir DIR.
  *
  * Common options: see usage() — one flag table covers every command.
  *
@@ -30,7 +34,8 @@
  * a nearest-flag suggestion, and a nonzero exit — trailing junk is
  * never silently ignored.
  *
- * Custom kernels (instead of a paper label):
+ * Kernel shorthand (instead of a paper label; every command and flag
+ * accepts it, resolved by kernels::kernelByLabel):
  *   gemm:M,N,K        e.g. gemm:8192,8192,8192
  *   gemv:M            e.g. gemv:4096
  *   ag:BYTES | ar:BYTES   e.g. ag:1000000000
@@ -55,10 +60,8 @@
 #include "fingrav/recorded_campaign.hpp"
 #include "fingrav/worker_fleet.hpp"
 #include "kernels/workloads.hpp"
-#include "runtime/host_runtime.hpp"
 #include "runtime/serve_worker.hpp"
 #include "sim/machine_config.hpp"
-#include "sim/simulation.hpp"
 #include "support/fault_injector.hpp"
 #include "support/logging.hpp"
 #include "support/run_journal.hpp"
@@ -112,14 +115,13 @@ usage(const char* argv0)
         << "  --csv NAME         dump profiles to fingrav_out/NAME_*.csv\n"
         << "  --quiet            summary only, no plot\n"
         << "  --fleet N          persistent N-worker fleet with cost-aware\n"
-        << "                     pull dispatch (profile/campaign; paper\n"
-        << "                     labels only)\n"
+        << "                     pull dispatch (profile/compare/campaign)\n"
         << "  --autotune         report the autotuned run budget vs\n"
-        << "                     Table I (profile; paper labels only)\n"
+        << "                     Table I (profile)\n"
         << "  --cache-dir DIR    content-addressed campaign cache: reuse\n"
         << "                     stored results bit-identically, store\n"
-        << "                     fresh ones (profile/campaign/cache stats;\n"
-        << "                     paper labels only)\n"
+        << "                     fresh ones (profile/compare/campaign/\n"
+        << "                     cache stats)\n"
         << "  --no-cache         ignore --cache-dir for this run\n"
         << "  --io-timeout-ms N  worker-pipe inactivity timeout for\n"
         << "                     --fleet runs (0 = wait forever)\n"
@@ -130,7 +132,8 @@ usage(const char* argv0)
         << "                     grammar in support/fault_injector.hpp)\n"
         << "\n"
         << "kernels: paper labels (CB-8K-GEMM, MB-4K-GEMV, AG-1GB, ...)\n"
-        << "         or gemm:M,N,K | gemv:M | ag:BYTES | ar:BYTES\n";
+        << "         or gemm:M,N,K | gemv:M | ag:BYTES | ar:BYTES, with\n"
+        << "         every command and flag\n";
     std::exit(2);
 }
 
@@ -176,42 +179,6 @@ nearestFlag(const std::string& given)
         }
     }
     return best;
-}
-
-/** Parse a kernel spec: paper label or gemm:/gemv:/ag:/ar: shorthand. */
-fk::KernelModelPtr
-parseKernel(const std::string& spec, const sim::MachineConfig& cfg)
-{
-    auto starts = [&](const char* p) {
-        return spec.rfind(p, 0) == 0;
-    };
-    try {
-        if (starts("gemm:")) {
-            const auto body = spec.substr(5);
-            const auto c1 = body.find(',');
-            const auto c2 = body.find(',', c1 + 1);
-            if (c1 == std::string::npos || c2 == std::string::npos)
-                fs::fatal("gemm spec needs M,N,K: ", spec);
-            fk::GemmShape shape;
-            shape.m = std::stoll(body.substr(0, c1));
-            shape.n = std::stoll(body.substr(c1 + 1, c2 - c1 - 1));
-            shape.k = std::stoll(body.substr(c2 + 1));
-            return std::make_shared<fk::GemmKernel>(shape, cfg);
-        }
-        if (starts("gemv:"))
-            return fk::makeGemv(std::stoll(spec.substr(5)), cfg);
-        if (starts("ag:")) {
-            return fk::makeCollective(fk::CollectiveOp::kAllGather,
-                                      std::stoll(spec.substr(3)), cfg);
-        }
-        if (starts("ar:")) {
-            return fk::makeCollective(fk::CollectiveOp::kAllReduce,
-                                      std::stoll(spec.substr(3)), cfg);
-        }
-    } catch (const std::invalid_argument&) {
-        fs::fatal("cannot parse kernel spec: ", spec);
-    }
-    return fk::kernelByLabel(spec, cfg);
 }
 
 /**
@@ -401,16 +368,51 @@ reportFleetDelivery(const fc::FleetBackend& backend)
     return 0;
 }
 
-fc::ProfileSet
-runCampaign(const std::string& spec, const CliOptions& opts)
+/** The campaign spec of one kernel argument under the run's options. */
+fc::ScenarioSpec
+makeSpec(const std::string& kernel, std::uint64_t seed,
+         const CliOptions& opts)
 {
-    const auto cfg = sim::mi300xConfig();
-    const auto kernel = parseKernel(spec, cfg);
-    sim::Simulation node(cfg, opts.seed, kernel->isCollective() ? 0 : 1);
-    rt::HostRuntime host(node, node.forkRng(7));
-    fc::Profiler profiler(host, opts.profiler, node.forkRng(8));
-    return profiler.profile(kernel);
+    fc::ScenarioSpec spec;
+    spec.label = kernel;
+    spec.seed = seed;
+    spec.opts = opts.profiler;
+    return spec;
 }
+
+/**
+ * The one run path of profile, compare and campaign: a CampaignRunner
+ * over the in-process pool or a --fleet of --serve workers, with the
+ * --cache-dir cache attached when asked.
+ */
+class RunPath {
+  public:
+    RunPath(const CliOptions& opts, const char* argv0)
+        : fleet_(opts.fleet > 0 ? makeFleetBackend(opts, argv0) : nullptr),
+          runner_(fleet_ ? fc::CampaignRunner(fleet_)
+                         : fc::CampaignRunner()),
+          cache_(makeCache(opts))
+    {
+        if (cache_)
+            runner_.attachCache(cache_);
+    }
+
+    const fc::CampaignRunner& runner() const { return runner_; }
+
+    /** What the cache and the fleet did; nonzero when the fleet degraded. */
+    int
+    report() const
+    {
+        if (cache_)
+            reportCacheStats(*cache_);
+        return fleet_ ? reportFleetDelivery(*fleet_) : 0;
+    }
+
+  private:
+    std::shared_ptr<fc::FleetBackend> fleet_;  ///< null = in process
+    fc::CampaignRunner runner_;
+    std::shared_ptr<fc::CampaignCache> cache_;  ///< null = uncached
+};
 
 void
 printProfile(const fc::ProfileSet& set, const CliOptions& opts,
@@ -473,60 +475,21 @@ cmdProfile(const std::vector<std::string>& args, const char* argv0)
     if (args.size() < 3)
         fs::fatal("profile needs a kernel spec");
     const auto opts = parseOptions(args, 3, argv0);
-
-    // The fleet and autotuned paths ride the scenario layer, which
-    // resolves kernels by paper label (kernelByLabel rejects shorthand
-    // specs with the full label list).
+    const auto spec = makeSpec(args[2], opts.seed, opts);
     if (opts.autotune) {
         if (opts.fleet > 0) {
             fs::fatal("--autotune cannot be combined with --fleet: "
                       "autotuning replays a locally recorded run pool");
         }
-        fc::ScenarioSpec spec;
-        spec.label = args[2];
-        spec.seed = opts.seed;
-        spec.opts = opts.profiler;
         const auto recorded = fc::RecordedCampaign::record(spec);
         const auto set = recorded.restitch({});
         const auto autotune = recorded.autotuneBudget();
         printProfile(set, opts, &autotune);
         return 0;
     }
-    if (opts.fleet > 0) {
-        fc::ScenarioSpec spec;
-        spec.label = args[2];
-        spec.seed = opts.seed;
-        spec.opts = opts.profiler;
-        const auto fleet_backend = makeFleetBackend(opts, argv0);
-        const fc::CampaignRunner runner(fleet_backend);
-        const auto cache = makeCache(opts);
-        if (cache)
-            runner.attachCache(cache);
-        const auto results =
-            runner.run(std::vector<fc::ScenarioSpec>{spec});
-        printProfile(results.front(), opts);
-        if (cache)
-            reportCacheStats(*cache);
-        return reportFleetDelivery(*fleet_backend);
-    }
-    if (const auto cache = makeCache(opts)) {
-        // Cached profiling rides the scenario layer like --fleet does:
-        // the cache key is the spec's canonical codec bytes, so only
-        // paper labels qualify (shorthand kernels have no spec form).
-        fc::ScenarioSpec spec;
-        spec.label = args[2];
-        spec.seed = opts.seed;
-        spec.opts = opts.profiler;
-        const fc::CampaignRunner runner;
-        runner.attachCache(cache);
-        const auto results =
-            runner.run(std::vector<fc::ScenarioSpec>{spec});
-        printProfile(results.front(), opts);
-        reportCacheStats(*cache);
-        return 0;
-    }
-    printProfile(runCampaign(args[2], opts), opts);
-    return 0;
+    const RunPath path(opts, argv0);
+    printProfile(path.runner().run({spec}).front(), opts);
+    return path.report();
 }
 
 int
@@ -539,7 +502,7 @@ cmdCampaign(const std::vector<std::string>& args, const char* argv0)
            args[first_flag].rfind("--", 0) != 0)
         labels.push_back(args[first_flag++]);
     if (labels.empty())
-        fs::fatal("campaign needs at least one paper kernel label");
+        fs::fatal("campaign needs at least one kernel");
     const auto opts = parseOptions(args, first_flag, argv0);
     if (opts.autotune) {
         fs::fatal("--autotune applies to 'profile', not 'campaign' "
@@ -549,24 +512,12 @@ cmdCampaign(const std::vector<std::string>& args, const char* argv0)
     std::vector<fc::ScenarioSpec> specs;
     specs.reserve(labels.size());
     std::uint64_t seed = opts.seed;
-    for (const auto& label : labels) {
-        fc::ScenarioSpec spec;
-        spec.label = label;
-        spec.seed = seed++;
-        spec.opts = opts.profiler;
-        specs.push_back(std::move(spec));
-    }
+    for (const auto& label : labels)
+        specs.push_back(makeSpec(label, seed++, opts));
 
-    std::shared_ptr<fc::FleetBackend> fleet_backend;
-    if (opts.fleet > 0)
-        fleet_backend = makeFleetBackend(opts, argv0);
-    const auto runner = fleet_backend ? fc::CampaignRunner(fleet_backend)
-                                      : fc::CampaignRunner();
-    const auto cache = makeCache(opts);
-    if (cache)
-        runner.attachCache(cache);
+    const RunPath path(opts, argv0);
     const auto t0 = std::chrono::steady_clock::now();
-    const auto results = runner.run(specs);
+    const auto results = path.runner().run(specs);
     const double wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
@@ -575,19 +526,17 @@ cmdCampaign(const std::vector<std::string>& args, const char* argv0)
     for (const auto& set : results)
         std::cout << an::summarize(set) << "\n";
     std::cout << results.size() << " campaigns via "
-              << runner.backend().name() << " backend";
+              << path.runner().backend().name() << " backend";
     if (opts.fleet > 0)
         std::cout << " (" << opts.fleet << " fleet workers)";
     std::cout << " in " << wall_ms << " ms\n";
-    if (cache)
-        reportCacheStats(*cache);
     if (!opts.csv.empty()) {
         for (const auto& set : results)
             an::dumpProfileCsv(set.ssp, opts.csv + "_" + set.label);
         std::cout << "CSV written to fingrav_out/" << opts.csv
                   << "_*.csv\n";
     }
-    return fleet_backend ? reportFleetDelivery(*fleet_backend) : 0;
+    return path.report();
 }
 
 int
@@ -608,6 +557,7 @@ cmdCache(const std::vector<std::string>& args, const char* argv0)
     std::cout << "cache dir      : " << opts.cache_dir << "\n"
               << "entries        : " << scan.entries << "\n"
               << "valid entries  : " << scan.valid_entries << "\n"
+              << "stale entries  : " << scan.stale_entries << "\n"
               << "corrupt entries: " << scan.corrupt_entries << "\n"
               << "blob bytes     : " << scan.bytes << "\n"
               << "temp leftovers : " << scan.temp_files << "\n";
@@ -620,29 +570,28 @@ cmdCompare(const std::vector<std::string>& args, const char* argv0)
     if (args.size() < 4)
         fs::fatal("compare needs two kernel specs");
     const auto opts = parseOptions(args, 4, argv0);
-    if (opts.fleet > 0 || opts.autotune) {
-        fs::fatal("--fleet/--autotune are not supported by 'compare'");
-    }
-    const auto a = runCampaign(args[2], opts);
-    CliOptions opts_b = opts;
-    opts_b.seed += 1;
-    const auto b = runCampaign(args[3], opts_b);
+    if (opts.autotune)
+        fs::fatal("--autotune applies to 'profile', not 'compare'");
+    const RunPath path(opts, argv0);
+    const auto sets =
+        path.runner().run({makeSpec(args[2], opts.seed, opts),
+                           makeSpec(args[3], opts.seed + 1, opts)});
 
     fs::TableWriter table({"kernel", "exec (us)", "total (W)", "XCD (W)",
                            "IOD (W)", "HBM (W)", "SSE err (%)"});
-    for (const auto* set : {&a, &b}) {
-        const auto rep = fc::differentiationError(*set);
+    for (const auto& set : sets) {
+        const auto rep = fc::differentiationError(set);
         table.addRow(
-            {set->label,
-             fs::TableWriter::num(set->measured_exec_time.toMicros(), 1),
-             fs::TableWriter::num(set->ssp.meanPower(fc::Rail::kTotal), 1),
-             fs::TableWriter::num(set->ssp.meanPower(fc::Rail::kXcd), 1),
-             fs::TableWriter::num(set->ssp.meanPower(fc::Rail::kIod), 1),
-             fs::TableWriter::num(set->ssp.meanPower(fc::Rail::kHbm), 1),
+            {set.label,
+             fs::TableWriter::num(set.measured_exec_time.toMicros(), 1),
+             fs::TableWriter::num(set.ssp.meanPower(fc::Rail::kTotal), 1),
+             fs::TableWriter::num(set.ssp.meanPower(fc::Rail::kXcd), 1),
+             fs::TableWriter::num(set.ssp.meanPower(fc::Rail::kIod), 1),
+             fs::TableWriter::num(set.ssp.meanPower(fc::Rail::kHbm), 1),
              fs::TableWriter::num(rep.error_pct, 1)});
     }
     table.print(std::cout);
-    return 0;
+    return path.report();
 }
 
 int
@@ -656,12 +605,13 @@ cmdCoschedule(const std::vector<std::string>& args, const char* argv0)
                   "'coschedule'");
     }
     const auto cfg = sim::mi300xConfig();
-    const auto a = parseKernel(args[2], cfg);
-    const auto b = parseKernel(args[3], cfg);
-    sim::Simulation node(cfg, opts.seed, 1);
-    rt::HostRuntime host(node, node.forkRng(7));
-    fc::ConcurrencyAdvisor advisor(host, node.forkRng(8));
-    const auto rep = advisor.evaluate(a, b, 16, 1, 4);
+    // Both kernels share kernel-a's single-GPU campaign node.
+    auto spec = makeSpec(args[2], opts.seed, opts);
+    spec.devices = 1;
+    fc::CampaignNode node(spec, cfg);
+    fc::ConcurrencyAdvisor advisor(node.host(), node.profilerRng());
+    const auto rep = advisor.evaluate(
+        node.kernel(), fk::kernelByLabel(args[3], cfg), 16, 1, 4);
 
     std::cout << rep.kernel_a << " + " << rep.kernel_b
               << "\ncomplementarity : " << rep.complementarity
