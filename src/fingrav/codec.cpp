@@ -658,7 +658,6 @@ encodeMachineConfig(Encoder& enc, const sim::MachineConfig& cfg)
     enc.f64(cfg.gpu_clock_drift_ppm);
     enc.duration(cfg.power_step);
     enc.duration(cfg.idle_step);
-    enc.u64(cfg.advance_threads);
     enc.duration(cfg.logger_window);
     enc.f64(cfg.logger_noise_w);
     enc.duration(cfg.launch_overhead);
@@ -735,7 +734,6 @@ decodeMachineConfig(Decoder& dec)
     cfg.gpu_clock_drift_ppm = dec.f64();
     cfg.power_step = dec.duration();
     cfg.idle_step = dec.duration();
-    cfg.advance_threads = dec.u64();
     cfg.logger_window = dec.duration();
     cfg.logger_noise_w = dec.f64();
     cfg.launch_overhead = dec.duration();
@@ -907,16 +905,16 @@ xxMergeRound(std::uint64_t acc, std::uint64_t lane)
 }  // namespace
 
 std::uint64_t
-xxh64(const std::uint8_t* data, std::size_t size)
+xxh64(const std::uint8_t* data, std::size_t size, std::uint64_t seed)
 {
     const std::uint8_t* p = data;
     const std::uint8_t* const end = data + size;
-    std::uint64_t h = kXxPrime5;
+    std::uint64_t h = seed + kXxPrime5;
     if (size >= 32) {
-        std::uint64_t v1 = kXxPrime1 + kXxPrime2;
-        std::uint64_t v2 = kXxPrime2;
-        std::uint64_t v3 = 0;
-        std::uint64_t v4 = 0 - kXxPrime1;
+        std::uint64_t v1 = seed + kXxPrime1 + kXxPrime2;
+        std::uint64_t v2 = seed + kXxPrime2;
+        std::uint64_t v3 = seed;
+        std::uint64_t v4 = seed - kXxPrime1;
         for (const std::uint8_t* const limit = end - 32; p <= limit;
              p += 32) {
             v1 = xxRound(v1, loadLe64(p));
@@ -955,15 +953,39 @@ xxh64(const std::uint8_t* data, std::size_t size)
     return h;
 }
 
-std::vector<std::uint8_t>
-encodeFrame(FrameType type, const std::vector<std::uint8_t>& payload)
+namespace {
+
+/** The header fields the checksum covers: magic, version, type and
+ *  payload length, as laid out on the wire. */
+Encoder
+headerFields(FrameType type, std::uint64_t payload_len)
 {
     Encoder header;
     header.u32(kMagic);
     header.u16(kVersion);
     header.u16(static_cast<std::uint16_t>(type));
-    header.u64(payload.size());
-    header.u64(xxh64(payload.data(), payload.size()));
+    header.u64(payload_len);
+    return header;
+}
+
+/** The frame checksum: XXH64 of the payload, seeded with XXH64 of the
+ *  header fields, so a flip anywhere in the frame fails it. */
+std::uint64_t
+frameChecksum(FrameType type, const std::uint8_t* payload,
+              std::uint64_t payload_len)
+{
+    const auto fields = headerFields(type, payload_len).bytes();
+    return xxh64(payload, static_cast<std::size_t>(payload_len),
+                 xxh64(fields.data(), fields.size()));
+}
+
+}  // namespace
+
+std::vector<std::uint8_t>
+encodeFrame(FrameType type, const std::vector<std::uint8_t>& payload)
+{
+    Encoder header = headerFields(type, payload.size());
+    header.u64(frameChecksum(type, payload.data(), payload.size()));
     std::vector<std::uint8_t> out = header.bytes();
     out.insert(out.end(), payload.begin(), payload.end());
     return out;
@@ -998,11 +1020,10 @@ decodeFrameHeader(const std::uint8_t* data)
 void
 verifyFramePayload(const FrameHeader& header, const std::uint8_t* payload)
 {
-    const std::uint64_t sum =
-        xxh64(payload, static_cast<std::size_t>(header.payload_len));
-    if (sum != header.checksum) {
+    if (frameChecksum(header.type, payload, header.payload_len) !=
+        header.checksum) {
         support::fatal("codec: ", toString(header.type),
-                       " frame payload checksum mismatch (corrupt or "
+                       " frame checksum mismatch (corrupt or "
                        "truncated stream)");
     }
 }

@@ -21,9 +21,10 @@
  *    in declaration order, no padding, no optional representations.
  *
  *  - *Versioned framing.*  Every frame carries the codec version and an
- *    XXH64 payload checksum; a reader confronted with a foreign
- *    version, a corrupt header or a truncated/mangled payload fails
- *    cleanly (support::FatalError) instead of decoding garbage.
+ *    XXH64 checksum over its header fields and payload; a reader
+ *    confronted with a foreign version, a corrupt header or a
+ *    truncated/mangled payload fails cleanly (support::FatalError)
+ *    instead of decoding garbage.
  *    Any change to any encoded layout MUST bump kVersion — there
  *    is deliberately no per-field tagging; the version is the schema.
  *
@@ -65,8 +66,12 @@ inline constexpr std::uint32_t kMagic = 0x56524746u;
  * of FNV-1a-64; the header layout is unchanged, but no v3 checksum
  * verifies.  Frame types 3-5 were renamed kWork* alongside (same
  * values).
+ * v5: the checksum covers the header too — XXH64 of the payload, seeded
+ * with XXH64 of magic, version, type and payload length — so a flipped
+ * type field no longer yields another valid frame; MachineConfig lost
+ * its node-stepping thread budget (stepping is serial).
  */
-inline constexpr std::uint16_t kVersion = 4;
+inline constexpr std::uint16_t kVersion = 5;
 
 /** Frame payload types. */
 enum class FrameType : std::uint16_t {
@@ -216,12 +221,13 @@ struct FrameHeader {
 };
 
 /**
- * XXH64 (seed 0) of `size` bytes: the frame payload checksum and the
- * campaign cache's content-address hash.  Four 64-bit lanes over
+ * XXH64 of `size` bytes under `seed`: the frame checksum and (seed 0)
+ * the campaign cache's content-address hash.  Four 64-bit lanes over
  * 32-byte stripes with explicit little-endian loads, so the value is
  * the same on every host and matches the published xxHash vectors.
  */
-std::uint64_t xxh64(const std::uint8_t* data, std::size_t size);
+std::uint64_t xxh64(const std::uint8_t* data, std::size_t size,
+                    std::uint64_t seed = 0);
 
 /**
  * Guard for wire-derived lengths/counts: fatal when `n` is implausibly
@@ -243,7 +249,7 @@ std::vector<std::uint8_t> encodeFrame(
  */
 FrameHeader decodeFrameHeader(const std::uint8_t* data);
 
-/** Fatal unless the payload matches the header's checksum. */
+/** Fatal unless header fields and payload match the header's checksum. */
 void verifyFramePayload(const FrameHeader& header,
                         const std::uint8_t* payload);
 
@@ -266,7 +272,7 @@ std::optional<Frame> readFrame(std::istream& in);
 
 /**
  * Validate a whole in-memory frame in place: header, exact length
- * (header + payload_len == size) and payload checksum, all fatal on
+ * (header + payload_len == size) and frame checksum, all fatal on
  * failure.  The verified payload is the payload_len bytes after the
  * header, ready for a Decoder without a copy.
  */

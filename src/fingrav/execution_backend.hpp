@@ -13,8 +13,7 @@
  * explicit: the runner owns the contract, a backend owns placement.
  *
  *  - ThreadPoolBackend: the classic in-process path — specs fanned over
- *    a support::ThreadPool, one fresh node per campaign, with the
- *    nested-oversubscription guard capping per-campaign advance threads.
+ *    a support::ThreadPool, one fresh node per campaign.
  *
  *  - FleetBackend (fingrav/worker_fleet.hpp): specs pulled one at a
  *    time by resident worker *processes* over the codec wire format,
@@ -99,12 +98,6 @@ class ExecutionBackend {
 
 /**
  * The in-process placement: campaigns fanned over a support::ThreadPool.
- *
- * Nested oversubscription: campaign-level threads multiply with
- * MachineConfig::advance_threads (the node stepper's pool).  When the
- * product would exceed the hardware, execute() caps the per-campaign
- * advance threads — results are unchanged (node stepping is
- * bit-identical for any advance thread count), only thread placement is.
  */
 class ThreadPoolBackend final : public ExecutionBackend {
   public:

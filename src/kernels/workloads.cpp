@@ -111,6 +111,45 @@ shorthandFields(std::string_view body, std::size_t count,
     return out;
 }
 
+/** Fatal (naming the spec) when `bytes` exceeds the node's HBM. */
+void
+requireFitsHbm(std::int64_t bytes, const sim::MachineConfig& cfg,
+               const std::string& spec)
+{
+    if (bytes > cfg.hbm_capacity) {
+        support::fatal("kernelByLabel: kernel spec '", spec,
+                       "': working set of ", bytes, " bytes exceeds the ",
+                       cfg.hbm_capacity, "-byte HBM capacity");
+    }
+}
+
+/**
+ * The shorthand's GEMM, once its working set (GemmKernel::
+ * workingSetBytes, computed here overflow-checked) is known to fit
+ * int64 and the node's HBM.
+ */
+KernelModelPtr
+checkedGemm(const GemmShape& s, const sim::MachineConfig& cfg,
+            const std::string& spec)
+{
+    std::int64_t mk = 0;
+    std::int64_t kn = 0;
+    std::int64_t mn = 0;
+    std::int64_t elems = 0;
+    std::int64_t bytes = 0;
+    if (__builtin_mul_overflow(s.m, s.k, &mk) ||
+        __builtin_mul_overflow(s.k, s.n, &kn) ||
+        __builtin_mul_overflow(s.m, s.n, &mn) ||
+        __builtin_add_overflow(mk, kn, &elems) ||
+        __builtin_add_overflow(elems, mn, &elems) ||
+        __builtin_mul_overflow(elems, std::int64_t{s.dtype_bytes}, &bytes)) {
+        support::fatal("kernelByLabel: kernel spec '", spec,
+                       "': working set overflows int64");
+    }
+    requireFitsHbm(bytes, cfg, spec);
+    return std::make_shared<GemmKernel>(s, cfg);
+}
+
 }  // namespace
 
 KernelModelPtr
@@ -123,15 +162,21 @@ kernelByLabel(const std::string& label, const sim::MachineConfig& cfg)
         shape.m = f[0];
         shape.n = f[1];
         shape.k = f[2];
-        return std::make_shared<GemmKernel>(shape, cfg);
+        return checkedGemm(shape, cfg, label);
     }
-    if (spec.starts_with("gemv:"))
-        return makeGemv(shorthandFields(spec.substr(5), 1, label)[0], cfg);
+    if (spec.starts_with("gemv:")) {
+        GemmShape shape;
+        shape.m = shorthandFields(spec.substr(5), 1, label)[0];
+        shape.n = 1;
+        shape.k = shape.m;
+        return checkedGemm(shape, cfg, label);
+    }
     if (spec.starts_with("ag:") || spec.starts_with("ar:")) {
+        const auto bytes = shorthandFields(spec.substr(3), 1, label)[0];
+        requireFitsHbm(bytes, cfg, label);
         return makeCollective(spec[1] == 'g' ? CollectiveOp::kAllGather
                                              : CollectiveOp::kAllReduce,
-                              shorthandFields(spec.substr(3), 1, label)[0],
-                              cfg);
+                              bytes, cfg);
     }
 
     const auto all = paperKernels(cfg);

@@ -49,7 +49,9 @@ std::vector<KernelModelPtr> paperKernels(const sim::MachineConfig& cfg);
  * shorthand — gemm:M,N,K | gemv:M | ag:BYTES | ar:BYTES, every number a
  * positive integer.  Every campaign path (CampaignNode, fleet workers,
  * the cache key's spec) resolves through here, so they all accept the
- * same names.  Fatal on an unknown label or a malformed shorthand.
+ * same names.  Fatal on an unknown label, a malformed shorthand, or a
+ * shorthand whose working set overflows int64 or exceeds the node's
+ * HBM capacity (cfg.hbm_capacity).
  */
 KernelModelPtr kernelByLabel(const std::string& label,
                              const sim::MachineConfig& cfg);

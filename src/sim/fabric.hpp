@@ -34,7 +34,6 @@
  * device advancement order-independent (docs/ARCHITECTURE.md).
  */
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -106,13 +105,8 @@ struct FabricDemand {
  * per-device *pending* slot (postDemand); Simulation copies pending to the
  * *committed* view at epoch barriers (commit), bumping the epoch counter
  * when anything changed.  Between commits the committed view is immutable,
- * so devices advancing in parallel read a consistent snapshot and the
- * result is bit-identical to serial advancement in any order.
- *
- * Thread-safety contract (parallel node stepping): during an epoch each
- * device may call postDemand on its own slot, and sharedDemand / epoch /
- * noteRetired concurrently; allocGroup, noteSubmitted and commit are
- * host-thread-only, between epochs.
+ * so the order devices advance in within an epoch cannot change the
+ * result.  allocGroup, noteSubmitted and commit belong between epochs.
  */
 class NodeFabric {
   public:
@@ -134,14 +128,14 @@ class NodeFabric {
     void
     noteSubmitted()
     {
-        outstanding_.fetch_add(1, std::memory_order_relaxed);
+        ++outstanding_;
     }
 
-    /** A node-fabric kernel completed (callable from stepping threads). */
+    /** A node-fabric kernel completed. */
     void
     noteRetired()
     {
-        outstanding_.fetch_sub(1, std::memory_order_relaxed);
+        --outstanding_;
     }
 
     /**
@@ -153,8 +147,7 @@ class NodeFabric {
     bool
     coupled() const
     {
-        return outstanding_.load(std::memory_order_relaxed) > 0 ||
-               injected_;
+        return outstanding_ > 0 || injected_;
     }
 
     /** Replace `device`'s pending demand list (its running transfers). */
@@ -209,7 +202,7 @@ class NodeFabric {
     std::vector<std::vector<FabricDemand>> committed_;
     std::uint64_t epoch_ = 0;
     std::uint64_t next_group_ = 1;
-    std::atomic<std::int64_t> outstanding_{0};
+    std::int64_t outstanding_ = 0;
     bool injected_ = false;  ///< host-injected demand pending/active
 };
 

@@ -16,17 +16,14 @@
  * collective starting or completing anywhere on the node) devices are
  * independent, so advanceAllTo advances them in epochs — poll demand,
  * commit the fabric view, advance every device to the earliest next
- * fabric event — optionally in parallel (MachineConfig::advance_threads).
- * The committed fabric view is immutable within an epoch and every device
- * touches only its own state, so the parallel path is bit-identical to
- * the serial one (docs/ARCHITECTURE.md).  The parallel path batches the
- * whole epoch loop into one thread-pool dispatch (ThreadPool::roundLoop):
- * the poll/commit/probe leader section runs exclusively between rounds,
- * so fine-grained epochs no longer pay a job submission handshake each.
+ * fabric event.  The committed fabric view is immutable within an epoch
+ * and every device touches only its own state, so the epoch schedule
+ * alone fixes the result (docs/ARCHITECTURE.md).  Stepping is serial:
+ * parallelism pays across campaigns (each profiles a fresh node), not
+ * across the devices of one node.
  */
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -36,7 +33,6 @@
 #include "sim/gpu_device.hpp"
 #include "sim/machine_config.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace fingrav::sim {
 
@@ -62,8 +58,7 @@ class Simulation {
      * Advance every device to `master` in fabric epochs (devices behind
      * the target step; devices already past it are untouched).  Node-level
      * sweeps use this instead of per-device advanceTo calls: it is the
-     * path that models shared-fabric contention between devices and, with
-     * advance_threads > 1, advances devices concurrently between epochs.
+     * path that models shared-fabric contention between devices.
      */
     void advanceAllTo(support::SimTime master);
 
@@ -94,12 +89,6 @@ class Simulation {
     NodeFabric& fabric() { return fabric_; }
     const NodeFabric& fabric() const { return fabric_; }
 
-    /** Override the advanceAllTo thread budget (1 = serial). */
-    void setAdvanceThreads(std::size_t threads);
-
-    /** Thread budget in force for node stepping. */
-    std::size_t advanceThreads() const { return advance_threads_; }
-
     /** The CPU (host) clock domain: ns resolution, no drift vs master. */
     const ClockDomain& cpuClock() const { return cpu_clock_; }
 
@@ -121,24 +110,12 @@ class Simulation {
     support::SimTime epochBoundary(const std::vector<std::size_t>& active,
                                    support::SimTime limit);
 
-    /**
-     * Drive an epoch loop: `leader` runs exclusively between rounds (poll
-     * demand, commit, probe the epoch boundary) and returns the item
-     * count of the next round (0 = done); `item(k)` advances one device.
-     * Serial when advance_threads <= 1, one batched pool dispatch
-     * otherwise — identical epoch schedule either way.
-     */
-    void runEpochs(const std::function<std::size_t()>& leader,
-                   const std::function<void(std::size_t)>& item);
-
     MachineConfig cfg_;
     support::Rng root_rng_;
     ClockDomain cpu_clock_;
     EventQueue events_;
     NodeFabric fabric_;  ///< must outlive devices_ (devices hold a pointer)
     std::vector<std::unique_ptr<GpuDevice>> devices_;
-    std::size_t advance_threads_;
-    std::unique_ptr<support::ThreadPool> pool_;
 };
 
 }  // namespace fingrav::sim

@@ -206,8 +206,9 @@ TEST(CampaignCache, ScanCountsOtherVersionBlobsAsStale)
 {
     // A blob written under another codec version is intact but never
     // addressed again (the key embeds the version): cache stats counts it
-    // stale, not corrupt.  The checksum covers only the payload, so a
-    // patched version field leaves the rest of the blob valid.
+    // stale, not corrupt.  Staleness is read from the header alone (the
+    // checksum belongs to the writer's version), so a patched version
+    // field stands in for another build's blob.
     auto specs = fig10Specs();
     specs.resize(1);
     TempDir dir("fingrav_cache");

@@ -7,10 +7,13 @@
  * serial loop for any thread count, any spec order and any completion
  * order, and sweep-reuse restitches must be bit-identical to re-executing
  * the recorded campaign from scratch.  These tests lock all of that, plus
- * the deterministic per-campaign RNG streams under concurrent starts.
+ * the deterministic per-campaign RNG streams under concurrent starts and
+ * the support::ThreadPool the in-process backend fans campaigns over.
  */
 
+#include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -288,4 +291,54 @@ TEST(RecordedCampaign, ConcurrentRecordingDeterministic)
         EXPECT_TRUE(fc::identicalProfileSets(reference, raced[i]))
             << "racer " << i;
     }
+}
+
+// ---------------------------------------------------------------------------
+// ThreadPool
+// ---------------------------------------------------------------------------
+
+TEST(ThreadPool, RunsEveryItemExactlyOnce)
+{
+    fs::ThreadPool pool(4);
+    EXPECT_EQ(pool.threads(), 4u);
+    std::vector<std::atomic<int>> hits(1000);
+    pool.parallelFor(hits.size(),
+                     [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (const auto& h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ReusableAcrossJobs)
+{
+    fs::ThreadPool pool(3);
+    std::atomic<int> sum{0};
+    for (int round = 0; round < 50; ++round)
+        pool.parallelFor(10, [&](std::size_t) { sum.fetch_add(1); });
+    EXPECT_EQ(sum.load(), 500);
+}
+
+TEST(ThreadPool, SerialFallbackAndEmptyJob)
+{
+    fs::ThreadPool pool(1);  // no workers: caller runs everything
+    EXPECT_EQ(pool.threads(), 1u);
+    int count = 0;
+    pool.parallelFor(5, [&](std::size_t) { ++count; });
+    EXPECT_EQ(count, 5);
+    pool.parallelFor(0, [&](std::size_t) { ++count; });
+    EXPECT_EQ(count, 5);
+}
+
+TEST(ThreadPool, PropagatesItemExceptions)
+{
+    fs::ThreadPool pool(4);
+    EXPECT_THROW(pool.parallelFor(64,
+                                  [](std::size_t i) {
+                                      if (i == 13)
+                                          throw std::runtime_error("boom");
+                                  }),
+                 std::runtime_error);
+    // The pool survives a throwing job.
+    std::atomic<int> ok{0};
+    pool.parallelFor(8, [&](std::size_t) { ok.fetch_add(1); });
+    EXPECT_EQ(ok.load(), 8);
 }

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <iostream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -280,6 +281,22 @@ TEST(Workloads, MalformedShorthandSpecsAreFatal)
              "gemm:8,8", "gemm:8,8,8,8", "gemv:8,8",  // field count
          }) {
         EXPECT_THROW(fk::kernelByLabel(bad, cfg()), fs::FatalError) << bad;
+    }
+    // Well-formed but impossible: rejected up front, naming the spec,
+    // before the working set is ever computed unchecked.
+    for (const char* huge : {
+             "gemm:4000000000,4000000000,4000000000",  // int64 overflow
+             "gemm:1000000,1000000,1000000",           // exceeds HBM
+             "gemv:4000000000",                        // overflow
+             "ar:300000000000",                        // exceeds HBM
+         }) {
+        try {
+            fk::kernelByLabel(huge, cfg());
+            ADD_FAILURE() << huge << " accepted";
+        } catch (const fs::FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(huge), std::string::npos)
+                << e.what();
+        }
     }
 }
 

@@ -32,7 +32,8 @@
  *
  * Unknown options after a command are rejected with the usage text,
  * a nearest-flag suggestion, and a nonzero exit — trailing junk is
- * never silently ignored.
+ * never silently ignored.  So are known options the command would
+ * ignore (coschedule --cache-dir/--csv, profile --autotune --cache-dir).
  *
  * Kernel shorthand (instead of a paper label; every command and flag
  * accepts it, resolved by kernels::kernelByLabel):
@@ -285,6 +286,22 @@ parseOptions(const std::vector<std::string>& args, std::size_t from,
     return out;
 }
 
+/**
+ * Reject an option the command would otherwise ignore, with the same
+ * usage-text exit as an unknown one: an ignored flag is a typo in
+ * disguise (a --cache-dir that caches nothing).
+ */
+void
+rejectIgnored(bool given, const char* flag, const char* context,
+              const char* argv0)
+{
+    if (!given)
+        return;
+    std::cerr << "error: " << flag << " has no effect on " << context
+              << "\n";
+    usage(argv0);
+}
+
 /** The campaign cache a run asked for; null = uncached. */
 std::shared_ptr<fc::CampaignCache>
 makeCache(const CliOptions& opts)
@@ -481,6 +498,13 @@ cmdProfile(const std::vector<std::string>& args, const char* argv0)
             fs::fatal("--autotune cannot be combined with --fleet: "
                       "autotuning replays a locally recorded run pool");
         }
+        // The recorded pool is neither cached nor dispatched.
+        const char* context = "'profile --autotune'";
+        rejectIgnored(!opts.cache_dir.empty(), "--cache-dir", context, argv0);
+        rejectIgnored(opts.io_timeout_ms > 0, "--io-timeout-ms", context,
+                      argv0);
+        rejectIgnored(!opts.fault_plan.empty(), "--fault-plan", context,
+                      argv0);
         const auto recorded = fc::RecordedCampaign::record(spec);
         const auto set = recorded.restitch({});
         const auto autotune = recorded.autotuneBudget();
@@ -600,10 +624,14 @@ cmdCoschedule(const std::vector<std::string>& args, const char* argv0)
     if (args.size() < 4)
         fs::fatal("coschedule needs two kernel specs");
     const auto opts = parseOptions(args, 4, argv0);
-    if (opts.fleet > 0 || opts.autotune) {
-        fs::fatal("--fleet/--autotune are not supported by "
-                  "'coschedule'");
-    }
+    // One in-process node, no campaign run path and no profile output.
+    const char* context = "'coschedule'";
+    rejectIgnored(opts.fleet > 0, "--fleet", context, argv0);
+    rejectIgnored(opts.autotune, "--autotune", context, argv0);
+    rejectIgnored(!opts.cache_dir.empty(), "--cache-dir", context, argv0);
+    rejectIgnored(opts.io_timeout_ms > 0, "--io-timeout-ms", context, argv0);
+    rejectIgnored(!opts.fault_plan.empty(), "--fault-plan", context, argv0);
+    rejectIgnored(!opts.csv.empty(), "--csv", context, argv0);
     const auto cfg = sim::mi300xConfig();
     // Both kernels share kernel-a's single-GPU campaign node.
     auto spec = makeSpec(args[2], opts.seed, opts);
