@@ -57,53 +57,6 @@ readAll(const std::string& path)
     return bytes;
 }
 
-/**
- * Decode one on-disk blob back to (key bytes, ProfileSet), verifying
- * and decoding the payload in place.  Throws support::FatalError on ANY
- * inconsistency — truncation, bit flip (checksum), foreign version,
- * wrong frame type, trailing bytes — which callers translate into a
- * miss.
- */
-std::pair<std::string, ProfileSet>
-decodeEntry(const std::vector<std::uint8_t>& bytes)
-{
-    const auto header = fscodec::verifyFrame(bytes.data(), bytes.size());
-    if (header.type != fscodec::FrameType::kCacheEntry) {
-        support::fatal("campaign cache: blob holds a ",
-                       fscodec::toString(header.type),
-                       " frame, not a cache entry");
-    }
-    fscodec::Decoder dec(bytes.data() + fscodec::kFrameHeaderBytes,
-                         static_cast<std::size_t>(header.payload_len));
-    std::string key = dec.str();
-    ProfileSet set = fscodec::decodeProfileSet(dec);
-    dec.expectEnd("cache entry");
-    return {std::move(key), std::move(set)};
-}
-
-/**
- * True when a blob's only fault is its codec version: the right magic,
- * a cache-entry type and a payload length matching the file, but a
- * version other than kVersion.  Another build wrote it, and the key
- * embeds the version, so it is never addressed again.  Its checksum is
- * left unchecked: the checksum algorithm is part of that version.
- */
-bool
-staleBlob(const std::vector<std::uint8_t>& bytes)
-{
-    if (bytes.size() < fscodec::kFrameHeaderBytes)
-        return false;
-    fscodec::Decoder dec(bytes.data(), fscodec::kFrameHeaderBytes);
-    const std::uint32_t magic = dec.u32();
-    const std::uint16_t version = dec.u16();
-    const std::uint16_t type = dec.u16();
-    const std::uint64_t payload_len = dec.u64();
-    return magic == fscodec::kMagic && version != fscodec::kVersion &&
-           type == static_cast<std::uint16_t>(
-                       fscodec::FrameType::kCacheEntry) &&
-           payload_len == bytes.size() - fscodec::kFrameHeaderBytes;
-}
-
 }  // namespace
 
 CampaignCache::CampaignCache(CacheOptions opts)
@@ -124,13 +77,7 @@ CampaignCache::key(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
         support::fatal("campaign cache: a spec with a custom profile_fn "
                        "has no canonical bytes and cannot be keyed");
     }
-    fscodec::Encoder enc;
-    // The version is part of the content address: any layout-semantics
-    // change bumps kVersion and thereby expires every cached result.
-    enc.u16(fscodec::kVersion);
-    fscodec::encodeScenarioSpec(enc, spec);
-    fscodec::encodeMachineConfig(enc, cfg);
-    return std::string(enc.bytes().begin(), enc.bytes().end());
+    return fscodec::cacheKey(spec, cfg);
 }
 
 std::uint64_t
@@ -185,7 +132,8 @@ CampaignCache::lookup(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
         return std::nullopt;
     }
     try {
-        auto [stored_key, set] = decodeEntry(*bytes);
+        auto [stored_key, set] =
+            fscodec::decodeCacheEntry(bytes->data(), bytes->size());
         if (stored_key != k) {
             // A valid blob for different content (hash collision or a
             // foreign file): serving it would violate bit-identity.
@@ -218,11 +166,7 @@ CampaignCache::store(const ScenarioSpec& spec, const sim::MachineConfig& cfg,
         return;
     const std::string k = key(spec, cfg);
 
-    fscodec::Encoder enc;
-    enc.str(k);
-    fscodec::encodeProfileSet(enc, set);
-    const auto frame =
-        fscodec::encodeFrame(fscodec::FrameType::kCacheEntry, enc.bytes());
+    const auto frame = fscodec::encodeCacheEntry(k, set);
 
     memoryInsert(k, set, frame.size());
     {
@@ -354,12 +298,16 @@ CampaignCache::scanDir(const std::string& dir)
             ++scan.corrupt_entries;
             continue;
         }
-        if (staleBlob(*bytes)) {
+        // Another build wrote it, and the key embeds the version, so it
+        // is never addressed again.
+        if (fscodec::foreignVersionFrame(bytes->data(), bytes->size(),
+                                         fscodec::FrameType::kCacheEntry)) {
             ++scan.stale_entries;
             continue;
         }
         try {
-            const auto [key, set] = decodeEntry(*bytes);
+            const auto [key, set] =
+                fscodec::decodeCacheEntry(bytes->data(), bytes->size());
             // The blob must also live at the address its key hashes to —
             // a renamed/copied foreign blob fails revalidation.
             if (stdfs::path(entryPath(dir, key)).filename() !=

@@ -1,7 +1,11 @@
 #include "fingrav/campaign_runner.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <utility>
+#include <vector>
 
 #include "kernels/workloads.hpp"
 #include "support/logging.hpp"
@@ -83,17 +87,43 @@ CampaignRunner::run(const std::vector<ScenarioSpec>& specs,
     return results;
 }
 
+namespace {
+
+/** Bit-pattern equality: -0.0 differs from 0.0, a NaN equals itself. */
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/** Column equality over the raw element bytes (doubles by bit pattern). */
+template <typename T>
+bool
+sameColumn(const std::vector<T>& a, const std::vector<T>& b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+}  // namespace
+
 bool
 identicalProfiles(const PowerProfile& a, const PowerProfile& b)
 {
-    if (a.label() != b.label() || a.kind() != b.kind() ||
-        a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (!(a.points()[i] == b.points()[i]))
-            return false;
-    }
-    return true;
+    return a.label() == b.label() && a.kind() == b.kind() &&
+           a.size() == b.size() && sameColumn(a.toiUs(), b.toiUs()) &&
+           sameColumn(a.toiFrac(), b.toiFrac()) &&
+           sameColumn(a.runTimeUs(), b.runTimeUs()) &&
+           sameColumn(a.gpuTimestamps(), b.gpuTimestamps()) &&
+           sameColumn(a.railColumn(Rail::kTotal),
+                      b.railColumn(Rail::kTotal)) &&
+           sameColumn(a.railColumn(Rail::kXcd), b.railColumn(Rail::kXcd)) &&
+           sameColumn(a.railColumn(Rail::kIod), b.railColumn(Rail::kIod)) &&
+           sameColumn(a.railColumn(Rail::kHbm), b.railColumn(Rail::kHbm)) &&
+           sameColumn(a.runIndices(), b.runIndices()) &&
+           sameColumn(a.execIndices(), b.execIndices()) &&
+           sameColumn(a.contendedWords(), b.contendedWords());
 }
 
 bool
@@ -101,8 +131,11 @@ identicalProfileSets(const ProfileSet& a, const ProfileSet& b)
 {
     return a.label == b.label &&
            a.measured_exec_time == b.measured_exec_time &&
+           a.guidance.exec_lo == b.guidance.exec_lo &&
+           a.guidance.exec_hi == b.guidance.exec_hi &&
            a.guidance.runs == b.guidance.runs &&
-           a.guidance.binning_margin == b.guidance.binning_margin &&
+           a.guidance.loi_per == b.guidance.loi_per &&
+           sameBits(a.guidance.binning_margin, b.guidance.binning_margin) &&
            a.runs_executed == b.runs_executed &&
            a.binning.bin_center == b.binning.bin_center &&
            a.binning.golden_runs == b.binning.golden_runs &&
@@ -112,8 +145,9 @@ identicalProfileSets(const ProfileSet& a, const ProfileSet& b)
            a.execs_per_run == b.execs_per_run &&
            a.ssp_exec_time == b.ssp_exec_time &&
            a.loi_target == b.loi_target &&
-           a.read_delay_us == b.read_delay_us &&
-           a.drift_ppm == b.drift_ppm && identicalProfiles(a.sse, b.sse) &&
+           sameBits(a.read_delay_us, b.read_delay_us) &&
+           sameBits(a.drift_ppm, b.drift_ppm) &&
+           identicalProfiles(a.sse, b.sse) &&
            identicalProfiles(a.ssp, b.ssp) &&
            identicalProfiles(a.timeline, b.timeline);
 }

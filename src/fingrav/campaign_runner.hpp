@@ -137,10 +137,16 @@ class CampaignRunner {
     std::shared_ptr<ExecutionBackend> backend_;
 };
 
-/** Bitwise profile equality (parallel/serial and reuse/re-execute gates). */
+/** Bitwise profile equality (parallel/serial and reuse/re-execute gates):
+ *  label, kind and every column, doubles by bit pattern. */
 bool identicalProfiles(const PowerProfile& a, const PowerProfile& b);
 
-/** Bitwise ProfileSet equality across every field and profile point. */
+/**
+ * Bitwise ProfileSet equality across every field and profile column —
+ * doubles by bit pattern, so -0.0 differs from 0.0 and a NaN matches
+ * itself.  Written field by field, independent of the codec: codec
+ * round-trip tests use it as their oracle.
+ */
 bool identicalProfileSets(const ProfileSet& a, const ProfileSet& b);
 
 }  // namespace fingrav::core

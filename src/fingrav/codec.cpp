@@ -1,6 +1,8 @@
 #include "fingrav/codec.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <concepts>
 #include <cstring>
 #include <istream>
 #include <limits>
@@ -20,6 +22,30 @@ using fingrav::support::Duration;
  *  turn into a multi-gigabyte allocation before the checksum/bounds
  *  checks have a chance to fire. */
 constexpr std::uint64_t kMaxElementCount = 1ULL << 28;
+
+/** Little-endian integer bytes whatever the host order: the one place
+ *  the wire's byte order is written down (payloads, columns, checksum). */
+template <typename U>
+void
+storeLe(std::vector<std::uint8_t>& bytes, U v)
+{
+    for (std::size_t i = 0; i < sizeof v; ++i)
+        bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+
+template <typename U>
+U
+loadLe(const std::uint8_t* p)
+{
+    U v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+        std::memcpy(&v, p, sizeof v);
+    } else {
+        for (std::size_t i = 0; i < sizeof v; ++i)
+            v |= static_cast<U>(p[i]) << (8 * i);
+    }
+    return v;
+}
 
 }  // namespace
 
@@ -72,22 +98,19 @@ Encoder::u8(std::uint8_t v)
 void
 Encoder::u16(std::uint16_t v)
 {
-    bytes_.push_back(static_cast<std::uint8_t>(v));
-    bytes_.push_back(static_cast<std::uint8_t>(v >> 8));
+    storeLe(bytes_, v);
 }
 
 void
 Encoder::u32(std::uint32_t v)
 {
-    for (int shift = 0; shift < 32; shift += 8)
-        bytes_.push_back(static_cast<std::uint8_t>(v >> shift));
+    storeLe(bytes_, v);
 }
 
 void
 Encoder::u64(std::uint64_t v)
 {
-    for (int shift = 0; shift < 64; shift += 8)
-        bytes_.push_back(static_cast<std::uint8_t>(v >> shift));
+    storeLe(bytes_, v);
 }
 
 void
@@ -121,30 +144,6 @@ Encoder::duration(Duration v)
     i64(v.nanos());
 }
 
-void
-Encoder::optU64(const std::optional<std::size_t>& v)
-{
-    boolean(v.has_value());
-    if (v.has_value())
-        u64(*v);
-}
-
-void
-Encoder::optF64(const std::optional<double>& v)
-{
-    boolean(v.has_value());
-    if (v.has_value())
-        f64(*v);
-}
-
-void
-Encoder::optDuration(const std::optional<Duration>& v)
-{
-    boolean(v.has_value());
-    if (v.has_value())
-        duration(*v);
-}
-
 namespace {
 
 /** One contiguous little-endian element block (canonical bytes match the
@@ -157,15 +156,8 @@ appendColumnBytes(std::vector<std::uint8_t>& bytes, const std::vector<T>& v)
         const auto* raw = reinterpret_cast<const std::uint8_t*>(v.data());
         bytes.insert(bytes.end(), raw, raw + v.size() * sizeof(T));
     } else {
-        for (const T x : v) {
-            std::uint64_t u;
-            if constexpr (std::is_same_v<T, double>)
-                u = std::bit_cast<std::uint64_t>(x);
-            else
-                u = static_cast<std::uint64_t>(x);
-            for (int shift = 0; shift < 64; shift += 8)
-                bytes.push_back(static_cast<std::uint8_t>(u >> shift));
-        }
+        for (const T x : v)
+            storeLe(bytes, std::bit_cast<std::uint64_t>(x));
     }
 }
 
@@ -214,28 +206,19 @@ Decoder::u8()
 std::uint16_t
 Decoder::u16()
 {
-    const std::uint8_t* p = need(2);
-    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
+    return loadLe<std::uint16_t>(need(2));
 }
 
 std::uint32_t
 Decoder::u32()
 {
-    const std::uint8_t* p = need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
+    return loadLe<std::uint32_t>(need(4));
 }
 
 std::uint64_t
 Decoder::u64()
 {
-    const std::uint8_t* p = need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
+    return loadLe<std::uint64_t>(need(8));
 }
 
 std::int64_t
@@ -273,30 +256,6 @@ Decoder::duration()
     return Duration::nanos(i64());
 }
 
-std::optional<std::size_t>
-Decoder::optU64()
-{
-    if (!boolean())
-        return std::nullopt;
-    return static_cast<std::size_t>(u64());
-}
-
-std::optional<double>
-Decoder::optF64()
-{
-    if (!boolean())
-        return std::nullopt;
-    return f64();
-}
-
-std::optional<Duration>
-Decoder::optDuration()
-{
-    if (!boolean())
-        return std::nullopt;
-    return duration();
-}
-
 namespace {
 
 /** Block-read `n` little-endian elements: one bounds check, one memcpy on
@@ -310,15 +269,8 @@ readColumn(const std::uint8_t* p, std::size_t n)
         if (n > 0)
             std::memcpy(out.data(), p, n * sizeof(T));
     } else {
-        for (std::size_t i = 0; i < n; ++i) {
-            std::uint64_t u = 0;
-            for (int b = 0; b < 8; ++b)
-                u |= static_cast<std::uint64_t>(p[i * 8 + b]) << (8 * b);
-            if constexpr (std::is_same_v<T, double>)
-                out[i] = std::bit_cast<double>(u);
-            else
-                out[i] = static_cast<T>(u);
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = std::bit_cast<T>(loadLe<std::uint64_t>(p + 8 * i));
     }
     return out;
 }
@@ -353,137 +305,159 @@ Decoder::expectEnd(const char* what) const
 }
 
 // ---------------------------------------------------------------------------
-// ScenarioSpec
+// Field lists: the one statement of each layout
 // ---------------------------------------------------------------------------
 
 namespace {
 
+/** T is U or const U: one field list serves the encoder (const) and the
+ *  decoder (mutable). */
+template <typename T, typename U>
+concept MaybeConst = std::same_as<std::remove_const_t<T>, U>;
+
+// Each fields() names a type's wire fields in wire order.  Writer and
+// Reader below visit the list and pick each field's wire form from its
+// C++ type.  Editing a list changes the bytes: bump kVersion (and the
+// GoldenWireBytes pins in tests/codec_test.cpp).
+
+template <typename Io, MaybeConst<ProfilerOptions> T>
 void
-encodeProfilerOptions(Encoder& enc, const ProfilerOptions& opts)
+fields(Io& io, T& o)
 {
-    enc.u64(opts.device);
-    enc.optU64(opts.runs_override);
-    enc.optF64(opts.margin_override);
-    enc.u64(opts.sse_executions);
-    enc.u64(opts.timing_reps);
-    enc.duration(opts.min_delay);
-    enc.duration(opts.max_delay);
-    enc.u8(static_cast<std::uint8_t>(opts.sync_mode));
-    enc.boolean(opts.binning);
-    enc.boolean(opts.collect_extra_runs);
-    enc.f64(opts.max_extra_run_factor);
-    enc.f64(opts.stability_eps);
-    enc.duration(opts.logger_window);
-    enc.optDuration(opts.target_bin);
+    io(o.device, o.runs_override, o.margin_override, o.sse_executions,
+       o.timing_reps, o.min_delay, o.max_delay, o.sync_mode, o.binning,
+       o.collect_extra_runs, o.max_extra_run_factor, o.stability_eps,
+       o.logger_window, o.target_bin);
 }
 
-ProfilerOptions
-decodeProfilerOptions(Decoder& dec)
-{
-    ProfilerOptions opts;
-    opts.device = dec.u64();
-    opts.runs_override = dec.optU64();
-    opts.margin_override = dec.optF64();
-    opts.sse_executions = dec.u64();
-    opts.timing_reps = dec.u64();
-    opts.min_delay = dec.duration();
-    opts.max_delay = dec.duration();
-    const std::uint8_t mode = dec.u8();
-    if (mode > static_cast<std::uint8_t>(SyncMode::kCoarseAlign))
-        support::fatal("codec: invalid sync mode ", int(mode));
-    opts.sync_mode = static_cast<SyncMode>(mode);
-    opts.binning = dec.boolean();
-    opts.collect_extra_runs = dec.boolean();
-    opts.max_extra_run_factor = dec.f64();
-    opts.stability_eps = dec.f64();
-    opts.logger_window = dec.duration();
-    opts.target_bin = dec.optDuration();
-    return opts;
-}
-
+template <typename Io, MaybeConst<BackgroundLoad> T>
 void
-encodeBackgroundLoad(Encoder& enc, const BackgroundLoad& load)
+fields(Io& io, T& l)
 {
-    enc.u8(static_cast<std::uint8_t>(load.kind));
-    enc.str(load.kernel);
-    enc.f64(load.demand);
-    enc.u64(load.device);
-    enc.u64(load.queue);
-    enc.duration(load.offset);
-    enc.duration(load.period);
-    enc.f64(load.duty_cycle);
-    enc.u64(load.cycles);
-    enc.f64(load.jitter_sigma);
+    io(l.kind, l.kernel, l.demand, l.device, l.queue, l.offset, l.period,
+       l.duty_cycle, l.cycles, l.jitter_sigma);
 }
 
-BackgroundLoad
-decodeBackgroundLoad(Decoder& dec)
-{
-    BackgroundLoad load;
-    const std::uint8_t kind = dec.u8();
-    if (kind > static_cast<std::uint8_t>(BackgroundKind::kFabricDemand))
-        support::fatal("codec: invalid background kind ", int(kind));
-    load.kind = static_cast<BackgroundKind>(kind);
-    load.kernel = dec.str();
-    load.demand = dec.f64();
-    load.device = dec.u64();
-    load.queue = dec.u64();
-    load.offset = dec.duration();
-    load.period = dec.duration();
-    load.duty_cycle = dec.f64();
-    load.cycles = dec.u64();
-    load.jitter_sigma = dec.f64();
-    return load;
-}
-
-}  // namespace
-
+template <typename Io, MaybeConst<ScenarioSpec> T>
 void
-encodeScenarioSpec(Encoder& enc, const ScenarioSpec& spec)
+fields(Io& io, T& s)
 {
-    if (spec.profile_fn) {
-        support::fatal("codec: a ScenarioSpec with a custom profile_fn "
-                       "cannot cross the wire (", spec.label,
-                       "); run it on the in-process path");
+    if constexpr (std::is_const_v<T>) {
+        if (s.profile_fn) {
+            support::fatal("codec: a ScenarioSpec with a custom profile_fn "
+                           "cannot cross the wire (", s.label,
+                           "); run it on the in-process path");
+        }
     }
-    enc.str(spec.label);
-    enc.u64(spec.seed);
-    encodeProfilerOptions(enc, spec.opts);
-    enc.u64(spec.devices);
-    enc.u32(static_cast<std::uint32_t>(spec.background.size()));
-    for (const auto& load : spec.background)
-        encodeBackgroundLoad(enc, load);
+    io(s.label, s.seed, s.opts, s.devices, s.background);
 }
 
-ScenarioSpec
-decodeScenarioSpec(Decoder& dec)
+template <typename Io, MaybeConst<GuidanceEntry> T>
+void
+fields(Io& io, T& g)
 {
-    ScenarioSpec spec;
-    spec.label = dec.str();
-    spec.seed = dec.u64();
-    spec.opts = decodeProfilerOptions(dec);
-    spec.devices = dec.u64();
-    const std::uint64_t loads = checkedCount(dec.u32(), "background-load");
-    spec.background.reserve(loads);
-    for (std::uint64_t i = 0; i < loads; ++i)
-        spec.background.push_back(decodeBackgroundLoad(dec));
-    return spec;
+    io(g.exec_lo, g.exec_hi, g.runs, g.loi_per, g.binning_margin);
 }
 
-// ---------------------------------------------------------------------------
-// ProfileSet
-// ---------------------------------------------------------------------------
+template <typename Io, MaybeConst<BinningResult> T>
+void
+fields(Io& io, T& b)
+{
+    io(b.bin_center, b.golden_runs, b.total_runs);
+}
 
-namespace {
+template <typename Io, MaybeConst<ProfileSet> T>
+void
+fields(Io& io, T& s)
+{
+    io(s.label, s.measured_exec_time, s.guidance, s.runs_executed,
+       s.binning, s.sse_exec_index, s.ssp_exec_index, s.execs_per_run,
+       s.ssp_exec_time, s.loi_target, s.read_delay_us, s.drift_ppm, s.sse,
+       s.ssp, s.timeline);
+}
+
+template <typename Io, MaybeConst<sim::PowerModelParams> T>
+void
+fields(Io& io, T& p)
+{
+    io(p.xcd_idle_w, p.iod_idle_w, p.hbm_idle_w, p.misc_w, p.xcd_dyn_w,
+       p.xcd_residency_weight, p.xcd_issue_weight, p.iod_llc_w,
+       p.iod_hbmphy_w, p.iod_fabric_w, p.hbm_dyn_w, p.leakage_fraction,
+       p.leakage_temp_coeff, p.t_ref_c, p.voltage_floor);
+}
+
+template <typename Io, MaybeConst<sim::DvfsGovernorParams> T>
+void
+fields(Io& io, T& d)
+{
+    io(d.boost_ratio, d.min_ratio, d.idle_ratio, d.sustained_limit_w,
+       d.peak_limit_w, d.fast_tau, d.slow_tau, d.excursion_cut,
+       d.excursion_hold, d.kp_per_us, d.recovery_per_us, d.idle_park_delay,
+       d.boost_budget, d.nominal_ratio, d.recovery_guard);
+}
+
+template <typename Io, MaybeConst<sim::ThermalParams> T>
+void
+fields(Io& io, T& t)
+{
+    io(t.ambient_c, t.resistance_c_per_w, t.time_constant);
+}
+
+template <typename Io, MaybeConst<sim::MachineConfig> T>
+void
+fields(Io& io, T& c)
+{
+    io(c.num_xcds, c.cus_per_xcd, c.num_iods, c.num_hbm_stacks,
+       c.peak_matrix_flops, c.peak_vector_flops, c.hbm_bandwidth,
+       c.llc_bandwidth, c.llc_capacity, c.l2_capacity_per_xcd,
+       c.hbm_capacity, c.node_gpus, c.fabric_links, c.fabric_link_bandwidth,
+       c.boost_frequency_hz, c.nominal_frequency_hz, c.idle_frequency_hz,
+       c.timestamp_tick, c.gpu_clock_drift_ppm, c.power_step, c.idle_step,
+       c.logger_window, c.logger_noise_w, c.launch_overhead,
+       c.sync_overhead, c.timestamp_read_delay, c.timestamp_read_jitter,
+       c.exec_time_sigma, c.outlier_run_probability,
+       c.outlier_slowdown_min, c.outlier_slowdown_max, c.power, c.dvfs,
+       c.thermal);
+}
+
+/** The last valid value and the name of each wire enum (a u8). */
+constexpr std::pair<SyncMode, const char*>
+enumRange(SyncMode)
+{
+    return {SyncMode::kCoarseAlign, "sync mode"};
+}
+
+constexpr std::pair<BackgroundKind, const char*>
+enumRange(BackgroundKind)
+{
+    return {BackgroundKind::kFabricDemand, "background kind"};
+}
+
+constexpr std::pair<ProfileKind, const char*>
+enumRange(ProfileKind)
+{
+    return {ProfileKind::kTimeline, "profile kind"};
+}
+
+template <typename E>
+E
+readEnum(Decoder& dec)
+{
+    constexpr auto range = enumRange(E{});
+    const std::uint8_t v = dec.u8();
+    if (v > static_cast<std::uint8_t>(range.first))
+        support::fatal("codec: invalid ", range.second, " ", int(v));
+    return static_cast<E>(v);
+}
 
 /**
- * v2 columnar profile layout: label, kind, point count, then one
- * contiguous block per column in declaration order — toi_us, toi_frac,
- * run_time_us, gpu_timestamp, total_w, xcd_w, iod_w, hbm_w, run_index,
- * exec_index — and finally the packed contention bitmap, (n + 63) / 64
- * u64 words whose trailing bits past n MUST be zero (canonical form;
- * decode rejects trailing garbage).  The word count is derived from n,
- * never read off the wire.
+ * v2 columnar profile layout, the one hand-written pair: label, kind,
+ * point count, then one contiguous block per column in declaration
+ * order — toi_us, toi_frac, run_time_us, gpu_timestamp, total_w, xcd_w,
+ * iod_w, hbm_w, run_index, exec_index — and finally the packed
+ * contention bitmap, (n + 63) / 64 u64 words whose trailing bits past n
+ * MUST be zero (canonical form; decode rejects trailing garbage).  The
+ * word count is derived from n, never read off the wire.
  */
 void
 encodePowerProfile(Encoder& enc, const PowerProfile& profile)
@@ -508,10 +482,7 @@ PowerProfile
 decodePowerProfile(Decoder& dec)
 {
     const std::string label = dec.str();
-    const std::uint8_t kind = dec.u8();
-    if (kind > static_cast<std::uint8_t>(ProfileKind::kTimeline))
-        support::fatal("codec: invalid profile kind ", int(kind));
-    PowerProfile profile(label, static_cast<ProfileKind>(kind));
+    PowerProfile profile(label, readEnum<ProfileKind>(dec));
     const auto n = static_cast<std::size_t>(
         checkedCount(dec.u32(), "profile-point"));
     auto toi_us = dec.f64Column(n);
@@ -541,304 +512,291 @@ decodePowerProfile(Decoder& dec)
     return profile;
 }
 
+template <typename T>
+inline constexpr bool kIsOptional = false;
+template <typename T>
+inline constexpr bool kIsOptional<std::optional<T>> = true;
+
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+template <typename T>
+inline constexpr bool kIsPair = false;
+template <typename A, typename B>
+inline constexpr bool kIsPair<std::pair<A, B>> = true;
+
+/** Encodes a field list; each field's C++ type picks its wire form. */
+class Writer {
+  public:
+    explicit Writer(Encoder& enc) : enc_(enc) {}
+
+    template <typename... Ts>
+    void
+    operator()(const Ts&... xs)
+    {
+        (put(xs), ...);
+    }
+
+  private:
+    template <typename T>
+    void
+    put(const T& x)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            enc_.boolean(x);
+        } else if constexpr (std::is_enum_v<T>) {
+            enc_.u8(static_cast<std::uint8_t>(x));
+        } else if constexpr (std::is_unsigned_v<T> && sizeof(T) == 2) {
+            enc_.u16(x);
+        } else if constexpr (std::is_unsigned_v<T> && sizeof(T) == 4) {
+            enc_.u32(x);
+        } else if constexpr (std::is_unsigned_v<T> && sizeof(T) == 8) {
+            enc_.u64(x);
+        } else if constexpr (std::is_signed_v<T> && std::is_integral_v<T>) {
+            static_assert(sizeof(T) == 8, "signed wire integers are i64");
+            enc_.i64(x);
+        } else if constexpr (std::is_same_v<T, double>) {
+            enc_.f64(x);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            enc_.str(x);
+        } else if constexpr (std::is_same_v<T, Duration>) {
+            enc_.duration(x);
+        } else if constexpr (kIsOptional<T>) {
+            enc_.boolean(x.has_value());
+            if (x.has_value())
+                put(*x);
+        } else if constexpr (kIsVector<T>) {
+            enc_.u32(static_cast<std::uint32_t>(x.size()));
+            for (const auto& element : x)
+                put(element);
+        } else if constexpr (kIsPair<T>) {
+            put(x.first);
+            put(x.second);
+        } else if constexpr (std::is_same_v<T, PowerProfile>) {
+            encodePowerProfile(enc_, x);
+        } else {
+            fields(*this, x);
+        }
+    }
+
+    Encoder& enc_;
+};
+
+/** Decodes a field list into default-constructed values, mirroring Writer. */
+class Reader {
+  public:
+    explicit Reader(Decoder& dec) : dec_(dec) {}
+
+    template <typename... Ts>
+    void
+    operator()(Ts&... xs)
+    {
+        (get(xs), ...);
+    }
+
+  private:
+    template <typename T>
+    void
+    get(T& x)
+    {
+        if constexpr (std::is_same_v<T, bool>) {
+            x = dec_.boolean();
+        } else if constexpr (std::is_enum_v<T>) {
+            x = readEnum<T>(dec_);
+        } else if constexpr (std::is_unsigned_v<T> && sizeof(T) == 2) {
+            x = dec_.u16();
+        } else if constexpr (std::is_unsigned_v<T> && sizeof(T) == 4) {
+            x = dec_.u32();
+        } else if constexpr (std::is_unsigned_v<T> && sizeof(T) == 8) {
+            x = dec_.u64();
+        } else if constexpr (std::is_signed_v<T> && std::is_integral_v<T>) {
+            x = dec_.i64();
+        } else if constexpr (std::is_same_v<T, double>) {
+            x = dec_.f64();
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            x = dec_.str();
+        } else if constexpr (std::is_same_v<T, Duration>) {
+            x = dec_.duration();
+        } else if constexpr (kIsOptional<T>) {
+            x.reset();
+            if (dec_.boolean())
+                get(x.emplace());
+        } else if constexpr (kIsVector<T>) {
+            const std::uint64_t n = checkedCount(dec_.u32(), "list-element");
+            x.clear();
+            x.reserve(std::min<std::uint64_t>(n, dec_.remaining()));
+            for (std::uint64_t i = 0; i < n; ++i)
+                get(x.emplace_back());
+        } else if constexpr (kIsPair<T>) {
+            get(x.first);
+            get(x.second);
+        } else if constexpr (std::is_same_v<T, PowerProfile>) {
+            x = decodePowerProfile(dec_);
+        } else {
+            fields(*this, x);
+        }
+    }
+
+    Decoder& dec_;
+};
+
+/** The payload of a field list. */
+template <typename... Ts>
+std::vector<std::uint8_t>
+encodeFields(const Ts&... xs)
+{
+    Encoder enc;
+    Writer{enc}(xs...);
+    return std::move(enc).bytes();
+}
+
+/** Decode `size` bytes into `xs`, failing unless they are consumed
+ *  exactly. */
+template <typename... Ts>
 void
-encodeGuidanceEntry(Encoder& enc, const GuidanceEntry& entry)
+decodeFields(const std::uint8_t* data, std::size_t size, const char* what,
+             Ts&... xs)
 {
-    enc.duration(entry.exec_lo);
-    enc.duration(entry.exec_hi);
-    enc.u64(entry.runs);
-    enc.duration(entry.loi_per);
-    enc.f64(entry.binning_margin);
+    Decoder dec(data, size);
+    Reader{dec}(xs...);
+    dec.expectEnd(what);
 }
 
-GuidanceEntry
-decodeGuidanceEntry(Decoder& dec)
+template <typename T>
+T
+decodeWhole(const std::vector<std::uint8_t>& bytes, const char* what)
 {
-    GuidanceEntry entry;
-    entry.exec_lo = dec.duration();
-    entry.exec_hi = dec.duration();
-    entry.runs = dec.u64();
-    entry.loi_per = dec.duration();
-    entry.binning_margin = dec.f64();
-    return entry;
-}
-
-void
-encodeBinningResult(Encoder& enc, const BinningResult& binning)
-{
-    enc.duration(binning.bin_center);
-    enc.u32(static_cast<std::uint32_t>(binning.golden_runs.size()));
-    for (const std::size_t run : binning.golden_runs)
-        enc.u64(run);
-    enc.u64(binning.total_runs);
-}
-
-BinningResult
-decodeBinningResult(Decoder& dec)
-{
-    BinningResult binning;
-    binning.bin_center = dec.duration();
-    const std::uint64_t golden = checkedCount(dec.u32(), "golden-run");
-    binning.golden_runs.reserve(golden);
-    for (std::uint64_t i = 0; i < golden; ++i)
-        binning.golden_runs.push_back(dec.u64());
-    binning.total_runs = dec.u64();
-    return binning;
+    T value;
+    decodeFields(bytes.data(), bytes.size(), what, value);
+    return value;
 }
 
 }  // namespace
 
-void
-encodeProfileSet(Encoder& enc, const ProfileSet& set)
-{
-    enc.str(set.label);
-    enc.duration(set.measured_exec_time);
-    encodeGuidanceEntry(enc, set.guidance);
-    enc.u64(set.runs_executed);
-    encodeBinningResult(enc, set.binning);
-    enc.u64(set.sse_exec_index);
-    enc.u64(set.ssp_exec_index);
-    enc.u64(set.execs_per_run);
-    enc.duration(set.ssp_exec_time);
-    enc.u64(set.loi_target);
-    enc.f64(set.read_delay_us);
-    enc.f64(set.drift_ppm);
-    encodePowerProfile(enc, set.sse);
-    encodePowerProfile(enc, set.ssp);
-    encodePowerProfile(enc, set.timeline);
-}
-
-ProfileSet
-decodeProfileSet(Decoder& dec)
-{
-    ProfileSet set;
-    set.label = dec.str();
-    set.measured_exec_time = dec.duration();
-    set.guidance = decodeGuidanceEntry(dec);
-    set.runs_executed = dec.u64();
-    set.binning = decodeBinningResult(dec);
-    set.sse_exec_index = dec.u64();
-    set.ssp_exec_index = dec.u64();
-    set.execs_per_run = dec.u64();
-    set.ssp_exec_time = dec.duration();
-    set.loi_target = dec.u64();
-    set.read_delay_us = dec.f64();
-    set.drift_ppm = dec.f64();
-    set.sse = decodePowerProfile(dec);
-    set.ssp = decodePowerProfile(dec);
-    set.timeline = decodePowerProfile(dec);
-    return set;
-}
-
 // ---------------------------------------------------------------------------
-// MachineConfig (declaration order; nested params appended)
-// ---------------------------------------------------------------------------
-
-void
-encodeMachineConfig(Encoder& enc, const sim::MachineConfig& cfg)
-{
-    enc.u64(cfg.num_xcds);
-    enc.u64(cfg.cus_per_xcd);
-    enc.u64(cfg.num_iods);
-    enc.u64(cfg.num_hbm_stacks);
-    enc.f64(cfg.peak_matrix_flops);
-    enc.f64(cfg.peak_vector_flops);
-    enc.f64(cfg.hbm_bandwidth);
-    enc.f64(cfg.llc_bandwidth);
-    enc.i64(cfg.llc_capacity);
-    enc.i64(cfg.l2_capacity_per_xcd);
-    enc.i64(cfg.hbm_capacity);
-    enc.u64(cfg.node_gpus);
-    enc.u64(cfg.fabric_links);
-    enc.f64(cfg.fabric_link_bandwidth);
-    enc.f64(cfg.boost_frequency_hz);
-    enc.f64(cfg.nominal_frequency_hz);
-    enc.f64(cfg.idle_frequency_hz);
-    enc.duration(cfg.timestamp_tick);
-    enc.f64(cfg.gpu_clock_drift_ppm);
-    enc.duration(cfg.power_step);
-    enc.duration(cfg.idle_step);
-    enc.duration(cfg.logger_window);
-    enc.f64(cfg.logger_noise_w);
-    enc.duration(cfg.launch_overhead);
-    enc.duration(cfg.sync_overhead);
-    enc.duration(cfg.timestamp_read_delay);
-    enc.f64(cfg.timestamp_read_jitter);
-    enc.f64(cfg.exec_time_sigma);
-    enc.f64(cfg.outlier_run_probability);
-    enc.f64(cfg.outlier_slowdown_min);
-    enc.f64(cfg.outlier_slowdown_max);
-
-    const auto& p = cfg.power;
-    enc.f64(p.xcd_idle_w);
-    enc.f64(p.iod_idle_w);
-    enc.f64(p.hbm_idle_w);
-    enc.f64(p.misc_w);
-    enc.f64(p.xcd_dyn_w);
-    enc.f64(p.xcd_residency_weight);
-    enc.f64(p.xcd_issue_weight);
-    enc.f64(p.iod_llc_w);
-    enc.f64(p.iod_hbmphy_w);
-    enc.f64(p.iod_fabric_w);
-    enc.f64(p.hbm_dyn_w);
-    enc.f64(p.leakage_fraction);
-    enc.f64(p.leakage_temp_coeff);
-    enc.f64(p.t_ref_c);
-    enc.f64(p.voltage_floor);
-
-    const auto& d = cfg.dvfs;
-    enc.f64(d.boost_ratio);
-    enc.f64(d.min_ratio);
-    enc.f64(d.idle_ratio);
-    enc.f64(d.sustained_limit_w);
-    enc.f64(d.peak_limit_w);
-    enc.duration(d.fast_tau);
-    enc.duration(d.slow_tau);
-    enc.f64(d.excursion_cut);
-    enc.duration(d.excursion_hold);
-    enc.f64(d.kp_per_us);
-    enc.f64(d.recovery_per_us);
-    enc.duration(d.idle_park_delay);
-    enc.duration(d.boost_budget);
-    enc.f64(d.nominal_ratio);
-    enc.f64(d.recovery_guard);
-
-    const auto& t = cfg.thermal;
-    enc.f64(t.ambient_c);
-    enc.f64(t.resistance_c_per_w);
-    enc.duration(t.time_constant);
-}
-
-sim::MachineConfig
-decodeMachineConfig(Decoder& dec)
-{
-    sim::MachineConfig cfg;
-    cfg.num_xcds = dec.u64();
-    cfg.cus_per_xcd = dec.u64();
-    cfg.num_iods = dec.u64();
-    cfg.num_hbm_stacks = dec.u64();
-    cfg.peak_matrix_flops = dec.f64();
-    cfg.peak_vector_flops = dec.f64();
-    cfg.hbm_bandwidth = dec.f64();
-    cfg.llc_bandwidth = dec.f64();
-    cfg.llc_capacity = dec.i64();
-    cfg.l2_capacity_per_xcd = dec.i64();
-    cfg.hbm_capacity = dec.i64();
-    cfg.node_gpus = dec.u64();
-    cfg.fabric_links = dec.u64();
-    cfg.fabric_link_bandwidth = dec.f64();
-    cfg.boost_frequency_hz = dec.f64();
-    cfg.nominal_frequency_hz = dec.f64();
-    cfg.idle_frequency_hz = dec.f64();
-    cfg.timestamp_tick = dec.duration();
-    cfg.gpu_clock_drift_ppm = dec.f64();
-    cfg.power_step = dec.duration();
-    cfg.idle_step = dec.duration();
-    cfg.logger_window = dec.duration();
-    cfg.logger_noise_w = dec.f64();
-    cfg.launch_overhead = dec.duration();
-    cfg.sync_overhead = dec.duration();
-    cfg.timestamp_read_delay = dec.duration();
-    cfg.timestamp_read_jitter = dec.f64();
-    cfg.exec_time_sigma = dec.f64();
-    cfg.outlier_run_probability = dec.f64();
-    cfg.outlier_slowdown_min = dec.f64();
-    cfg.outlier_slowdown_max = dec.f64();
-
-    auto& p = cfg.power;
-    p.xcd_idle_w = dec.f64();
-    p.iod_idle_w = dec.f64();
-    p.hbm_idle_w = dec.f64();
-    p.misc_w = dec.f64();
-    p.xcd_dyn_w = dec.f64();
-    p.xcd_residency_weight = dec.f64();
-    p.xcd_issue_weight = dec.f64();
-    p.iod_llc_w = dec.f64();
-    p.iod_hbmphy_w = dec.f64();
-    p.iod_fabric_w = dec.f64();
-    p.hbm_dyn_w = dec.f64();
-    p.leakage_fraction = dec.f64();
-    p.leakage_temp_coeff = dec.f64();
-    p.t_ref_c = dec.f64();
-    p.voltage_floor = dec.f64();
-
-    auto& d = cfg.dvfs;
-    d.boost_ratio = dec.f64();
-    d.min_ratio = dec.f64();
-    d.idle_ratio = dec.f64();
-    d.sustained_limit_w = dec.f64();
-    d.peak_limit_w = dec.f64();
-    d.fast_tau = dec.duration();
-    d.slow_tau = dec.duration();
-    d.excursion_cut = dec.f64();
-    d.excursion_hold = dec.duration();
-    d.kp_per_us = dec.f64();
-    d.recovery_per_us = dec.f64();
-    d.idle_park_delay = dec.duration();
-    d.boost_budget = dec.duration();
-    d.nominal_ratio = dec.f64();
-    d.recovery_guard = dec.f64();
-
-    auto& t = cfg.thermal;
-    t.ambient_c = dec.f64();
-    t.resistance_c_per_w = dec.f64();
-    t.time_constant = dec.duration();
-    return cfg;
-}
-
-// ---------------------------------------------------------------------------
-// Whole-value helpers
+// Whole values and frame payloads
 // ---------------------------------------------------------------------------
 
 std::vector<std::uint8_t>
 encode(const ScenarioSpec& spec)
 {
-    Encoder enc;
-    encodeScenarioSpec(enc, spec);
-    return enc.bytes();
+    return encodeFields(spec);
 }
 
 std::vector<std::uint8_t>
 encode(const ProfileSet& set)
 {
-    Encoder enc;
-    encodeProfileSet(enc, set);
-    return enc.bytes();
+    return encodeFields(set);
 }
 
 std::vector<std::uint8_t>
 encode(const sim::MachineConfig& cfg)
 {
-    Encoder enc;
-    encodeMachineConfig(enc, cfg);
-    return enc.bytes();
+    return encodeFields(cfg);
 }
 
 ScenarioSpec
 decodeScenarioSpec(const std::vector<std::uint8_t>& bytes)
 {
-    Decoder dec(bytes);
-    auto spec = decodeScenarioSpec(dec);
-    dec.expectEnd("ScenarioSpec");
-    return spec;
+    return decodeWhole<ScenarioSpec>(bytes, "ScenarioSpec");
 }
 
 ProfileSet
 decodeProfileSet(const std::vector<std::uint8_t>& bytes)
 {
-    Decoder dec(bytes);
-    auto set = decodeProfileSet(dec);
-    dec.expectEnd("ProfileSet");
-    return set;
+    return decodeWhole<ProfileSet>(bytes, "ProfileSet");
 }
 
 sim::MachineConfig
 decodeMachineConfig(const std::vector<std::uint8_t>& bytes)
 {
-    Decoder dec(bytes);
-    auto cfg = decodeMachineConfig(dec);
-    dec.expectEnd("MachineConfig");
-    return cfg;
+    return decodeWhole<sim::MachineConfig>(bytes, "MachineConfig");
+}
+
+std::vector<std::uint8_t>
+encodeWorkRequest(
+    const sim::MachineConfig& cfg,
+    const std::vector<std::pair<std::uint64_t, ScenarioSpec>>& items)
+{
+    return encodeFields(cfg, items);
+}
+
+WorkRequest
+decodeWorkRequest(const std::vector<std::uint8_t>& payload)
+{
+    WorkRequest request;
+    decodeFields(payload.data(), payload.size(), "work request",
+                 request.cfg, request.items);
+    return request;
+}
+
+std::vector<std::uint8_t>
+encodeWorkResult(std::uint64_t slot, const ProfileSet& set)
+{
+    return encodeFields(slot, set);
+}
+
+WorkResult
+decodeWorkResult(const std::vector<std::uint8_t>& payload)
+{
+    WorkResult result;
+    decodeFields(payload.data(), payload.size(), "work result", result.slot,
+                 result.set);
+    return result;
+}
+
+std::vector<std::uint8_t>
+encodeWorkDone(std::uint32_t count)
+{
+    return encodeFields(count);
+}
+
+std::uint32_t
+decodeWorkDone(const std::vector<std::uint8_t>& payload)
+{
+    return decodeWhole<std::uint32_t>(payload, "work done");
+}
+
+std::vector<std::uint8_t>
+encodeWorkerError(const std::string& message)
+{
+    return encodeFields(message);
+}
+
+std::string
+decodeWorkerError(const std::vector<std::uint8_t>& payload)
+{
+    return decodeWhole<std::string>(payload, "worker error");
+}
+
+std::string
+cacheKey(const ScenarioSpec& spec, const sim::MachineConfig& cfg)
+{
+    const auto bytes = encodeFields(kVersion, spec, cfg);
+    return std::string(bytes.begin(), bytes.end());
+}
+
+std::vector<std::uint8_t>
+encodeCacheEntry(const std::string& key, const ProfileSet& set)
+{
+    return encodeFrame(FrameType::kCacheEntry, encodeFields(key, set));
+}
+
+CacheEntry
+decodeCacheEntry(const std::uint8_t* data, std::size_t size)
+{
+    const auto header = verifyFrame(data, size);
+    if (header.type != FrameType::kCacheEntry) {
+        support::fatal("codec: blob holds a ", toString(header.type),
+                       " frame, not a cache entry");
+    }
+    CacheEntry entry;
+    decodeFields(data + kFrameHeaderBytes,
+                 static_cast<std::size_t>(header.payload_len), "cache entry",
+                 entry.key, entry.set);
+    return entry;
 }
 
 // ---------------------------------------------------------------------------
@@ -855,38 +813,6 @@ constexpr std::uint64_t kXxPrime2 = 0xC2B2AE3D27D4EB4FULL;
 constexpr std::uint64_t kXxPrime3 = 0x165667B19E3779F9ULL;
 constexpr std::uint64_t kXxPrime4 = 0x85EBCA77C2B2AE63ULL;
 constexpr std::uint64_t kXxPrime5 = 0x27D4EB2F165667C5ULL;
-
-/** Little-endian loads whatever the host order: the checksum is part
- *  of the canonical bytes, so it must not depend on the machine. */
-std::uint64_t
-loadLe64(const std::uint8_t* p)
-{
-    if constexpr (std::endian::native == std::endian::little) {
-        std::uint64_t v = 0;
-        std::memcpy(&v, p, sizeof v);
-        return v;
-    } else {
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-        return v;
-    }
-}
-
-std::uint32_t
-loadLe32(const std::uint8_t* p)
-{
-    if constexpr (std::endian::native == std::endian::little) {
-        std::uint32_t v = 0;
-        std::memcpy(&v, p, sizeof v);
-        return v;
-    } else {
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-        return v;
-    }
-}
 
 std::uint64_t
 xxRound(std::uint64_t acc, std::uint64_t input)
@@ -917,10 +843,10 @@ xxh64(const std::uint8_t* data, std::size_t size, std::uint64_t seed)
         std::uint64_t v4 = seed - kXxPrime1;
         for (const std::uint8_t* const limit = end - 32; p <= limit;
              p += 32) {
-            v1 = xxRound(v1, loadLe64(p));
-            v2 = xxRound(v2, loadLe64(p + 8));
-            v3 = xxRound(v3, loadLe64(p + 16));
-            v4 = xxRound(v4, loadLe64(p + 24));
+            v1 = xxRound(v1, loadLe<std::uint64_t>(p));
+            v2 = xxRound(v2, loadLe<std::uint64_t>(p + 8));
+            v3 = xxRound(v3, loadLe<std::uint64_t>(p + 16));
+            v4 = xxRound(v4, loadLe<std::uint64_t>(p + 24));
         }
         h = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) +
             std::rotl(v4, 18);
@@ -932,11 +858,11 @@ xxh64(const std::uint8_t* data, std::size_t size, std::uint64_t seed)
     h += static_cast<std::uint64_t>(size);
 
     for (; end - p >= 8; p += 8) {
-        h ^= xxRound(0, loadLe64(p));
+        h ^= xxRound(0, loadLe<std::uint64_t>(p));
         h = std::rotl(h, 27) * kXxPrime1 + kXxPrime4;
     }
     if (end - p >= 4) {
-        h ^= static_cast<std::uint64_t>(loadLe32(p)) * kXxPrime1;
+        h ^= static_cast<std::uint64_t>(loadLe<std::uint32_t>(p)) * kXxPrime1;
         h = std::rotl(h, 23) * kXxPrime2 + kXxPrime3;
         p += 4;
     }
@@ -986,34 +912,58 @@ encodeFrame(FrameType type, const std::vector<std::uint8_t>& payload)
 {
     Encoder header = headerFields(type, payload.size());
     header.u64(frameChecksum(type, payload.data(), payload.size()));
-    std::vector<std::uint8_t> out = header.bytes();
+    std::vector<std::uint8_t> out = std::move(header).bytes();
+    out.reserve(kFrameHeaderBytes + payload.size());
     out.insert(out.end(), payload.begin(), payload.end());
     return out;
 }
 
+namespace {
+
+/** The header fields as laid out on the wire, not yet validated. */
+struct RawHeader {
+    std::uint32_t magic = 0;
+    std::uint16_t version = 0;
+    std::uint16_t type = 0;
+    std::uint64_t payload_len = 0;
+    std::uint64_t checksum = 0;
+};
+
+RawHeader
+readHeader(const std::uint8_t* data)
+{
+    Decoder dec(data, kFrameHeaderBytes);
+    RawHeader raw;
+    raw.magic = dec.u32();
+    raw.version = dec.u16();
+    raw.type = dec.u16();
+    raw.payload_len = dec.u64();
+    raw.checksum = dec.u64();
+    return raw;
+}
+
+}  // namespace
+
 FrameHeader
 decodeFrameHeader(const std::uint8_t* data)
 {
-    Decoder dec(data, kFrameHeaderBytes);
-    const std::uint32_t magic = dec.u32();
-    if (magic != kMagic)
-        support::fatal("codec: bad frame magic 0x", std::hex, magic);
-    const std::uint16_t version = dec.u16();
-    if (version != kVersion) {
-        support::fatal("codec: frame version ", version,
+    const RawHeader raw = readHeader(data);
+    if (raw.magic != kMagic)
+        support::fatal("codec: bad frame magic 0x", std::hex, raw.magic);
+    if (raw.version != kVersion) {
+        support::fatal("codec: frame version ", raw.version,
                        " does not match this build's version ", kVersion,
                        "; driver and worker binaries must match");
     }
+    if (raw.type < static_cast<std::uint16_t>(FrameType::kScenarioSpec) ||
+        raw.type > static_cast<std::uint16_t>(FrameType::kShutdown))
+        support::fatal("codec: unknown frame type ", raw.type);
     FrameHeader header;
-    const std::uint16_t type = dec.u16();
-    if (type < static_cast<std::uint16_t>(FrameType::kScenarioSpec) ||
-        type > static_cast<std::uint16_t>(FrameType::kShutdown))
-        support::fatal("codec: unknown frame type ", type);
-    header.type = static_cast<FrameType>(type);
+    header.type = static_cast<FrameType>(raw.type);
     // Validated here so every reader — stream- or fd-based — rejects a
     // corrupt length before trusting it with an allocation.
-    header.payload_len = checkedCount(dec.u64(), "frame-payload byte");
-    header.checksum = dec.u64();
+    header.payload_len = checkedCount(raw.payload_len, "frame-payload byte");
+    header.checksum = raw.checksum;
     return header;
 }
 
@@ -1076,6 +1026,18 @@ verifyFrame(const std::uint8_t* data, std::size_t size)
                        size - kFrameHeaderBytes, ")");
     verifyFramePayload(header, data + kFrameHeaderBytes);
     return header;
+}
+
+bool
+foreignVersionFrame(const std::uint8_t* data, std::size_t size,
+                    FrameType type)
+{
+    if (size < kFrameHeaderBytes)
+        return false;
+    const RawHeader raw = readHeader(data);
+    return raw.magic == kMagic && raw.version != kVersion &&
+           raw.type == static_cast<std::uint16_t>(type) &&
+           raw.payload_len == size - kFrameHeaderBytes;
 }
 
 }  // namespace fingrav::core::codec

@@ -25,8 +25,21 @@
  *    confronted with a foreign version, a corrupt header or a
  *    truncated/mangled payload fails cleanly (support::FatalError)
  *    instead of decoding garbage.
- *    Any change to any encoded layout MUST bump kVersion — there
- *    is deliberately no per-field tagging; the version is the schema.
+ *
+ * Where the layouts live:
+ *
+ *  - Each wire type's layout is ONE field list, a `fields()` template in
+ *    codec.cpp that the encoder and the decoder both visit; the field's
+ *    C++ type picks its wire form (size_t u64, int64 i64, double f64,
+ *    bool, string, Duration, optional, u32-counted vector, u8 enum).
+ *    PowerProfile's columnar block is the one hand-written pair.
+ *  - Only this codec knows frame payloads: the work request/result/done/
+ *    error payloads, the cache entry and the cache key are built and
+ *    parsed by the functions below, never field by field by their users.
+ *  - Codec_test's GoldenWireBytes pins the bytes.  Any edit to a field
+ *    list, a width or an order changes them and MUST bump kVersion —
+ *    there is deliberately no per-field tagging; the version is the
+ *    schema.
  *
  * What crosses the wire: ScenarioSpec (foreground kernel reference,
  * BackgroundLoad schedules, seeds, profiler options), MachineConfig
@@ -34,8 +47,8 @@
  * ProfileSet (SSE/SSP/timeline points including contention flags,
  * guidance/LOI-yield fields, sync calibration outputs).  A ScenarioSpec
  * carrying a custom profile_fn cannot cross the wire (a std::function
- * has no canonical bytes); encodeScenarioSpec rejects it and the
- * FleetBackend keeps such specs on the in-process path.
+ * has no canonical bytes); encoding one is fatal and the FleetBackend
+ * keeps such specs on the in-process path.
  */
 
 #include <cstddef>
@@ -43,6 +56,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fingrav/profiler.hpp"
@@ -106,10 +120,6 @@ class Encoder {
     void str(const std::string& v);
     void duration(support::Duration v);
 
-    void optU64(const std::optional<std::size_t>& v);
-    void optF64(const std::optional<double>& v);
-    void optDuration(const std::optional<support::Duration>& v);
-
     /**
      * Bulk column writers (v2 profile frames): the whole vector as one
      * contiguous little-endian element block — on little-endian hosts a
@@ -120,7 +130,8 @@ class Encoder {
     void i64Column(const std::vector<std::int64_t>& v);
     void u64Column(const std::vector<std::uint64_t>& v);
 
-    const std::vector<std::uint8_t>& bytes() const { return bytes_; }
+    const std::vector<std::uint8_t>& bytes() const& { return bytes_; }
+    std::vector<std::uint8_t> bytes() && { return std::move(bytes_); }
 
   private:
     std::vector<std::uint8_t> bytes_;
@@ -154,10 +165,6 @@ class Decoder {
     std::string str();
     support::Duration duration();
 
-    std::optional<std::size_t> optU64();
-    std::optional<double> optF64();
-    std::optional<support::Duration> optDuration();
-
     /**
      * Bulk column readers (v2 profile frames): `n` little-endian
      * elements in one bounds check + block copy.  `n` must already have
@@ -185,19 +192,9 @@ class Decoder {
 };
 
 // ---------------------------------------------------------------------------
-// Payload codecs (field-by-field, declaration order; see kVersion rule)
+// Whole values (tests, tooling, the perf bench)
 // ---------------------------------------------------------------------------
 
-void encodeScenarioSpec(Encoder& enc, const ScenarioSpec& spec);
-ScenarioSpec decodeScenarioSpec(Decoder& dec);
-
-void encodeProfileSet(Encoder& enc, const ProfileSet& set);
-ProfileSet decodeProfileSet(Decoder& dec);
-
-void encodeMachineConfig(Encoder& enc, const sim::MachineConfig& cfg);
-sim::MachineConfig decodeMachineConfig(Decoder& dec);
-
-/** Convenience whole-value round trips (tests, tooling). */
 std::vector<std::uint8_t> encode(const ScenarioSpec& spec);
 std::vector<std::uint8_t> encode(const ProfileSet& set);
 std::vector<std::uint8_t> encode(const sim::MachineConfig& cfg);
@@ -205,6 +202,64 @@ ScenarioSpec decodeScenarioSpec(const std::vector<std::uint8_t>& bytes);
 ProfileSet decodeProfileSet(const std::vector<std::uint8_t>& bytes);
 sim::MachineConfig decodeMachineConfig(
     const std::vector<std::uint8_t>& bytes);
+
+// ---------------------------------------------------------------------------
+// Frame payloads: the only code that knows their layouts
+// ---------------------------------------------------------------------------
+
+/** kWorkRequest: the node config and its slot-addressed specs. */
+struct WorkRequest {
+    sim::MachineConfig cfg;
+    std::vector<std::pair<std::uint64_t, ScenarioSpec>> items;
+};
+
+/** kWorkResult: one spec's slot and its ProfileSet. */
+struct WorkResult {
+    std::uint64_t slot = 0;
+    ProfileSet set;
+};
+
+/** kCacheEntry: the content key and the ProfileSet stored under it. */
+struct CacheEntry {
+    std::string key;
+    ProfileSet set;
+};
+
+/** MachineConfig, then a u32-counted list of (u64 slot, ScenarioSpec). */
+std::vector<std::uint8_t> encodeWorkRequest(
+    const sim::MachineConfig& cfg,
+    const std::vector<std::pair<std::uint64_t, ScenarioSpec>>& items);
+WorkRequest decodeWorkRequest(const std::vector<std::uint8_t>& payload);
+
+/** u64 slot, then the ProfileSet. */
+std::vector<std::uint8_t> encodeWorkResult(std::uint64_t slot,
+                                           const ProfileSet& set);
+WorkResult decodeWorkResult(const std::vector<std::uint8_t>& payload);
+
+/** u32 count of results the request produced. */
+std::vector<std::uint8_t> encodeWorkDone(std::uint32_t count);
+std::uint32_t decodeWorkDone(const std::vector<std::uint8_t>& payload);
+
+/** The worker-side fatal diagnostic. */
+std::vector<std::uint8_t> encodeWorkerError(const std::string& message);
+std::string decodeWorkerError(const std::vector<std::uint8_t>& payload);
+
+/**
+ * The campaign cache's content key: u16 kVersion, ScenarioSpec,
+ * MachineConfig.  The version is part of the address, so a bump
+ * expires every cached result.
+ */
+std::string cacheKey(const ScenarioSpec& spec, const sim::MachineConfig& cfg);
+
+/** A whole kCacheEntry frame (the on-disk blob): key bytes + ProfileSet. */
+std::vector<std::uint8_t> encodeCacheEntry(const std::string& key,
+                                           const ProfileSet& set);
+
+/**
+ * Verify a whole kCacheEntry frame and decode it in place.  Fatal on any
+ * inconsistency: length, checksum, version, frame type, trailing bytes.
+ */
+CacheEntry decodeCacheEntry(const std::uint8_t* data, std::size_t size);
 
 // ---------------------------------------------------------------------------
 // Framing
@@ -232,9 +287,8 @@ std::uint64_t xxh64(const std::uint8_t* data, std::size_t size,
 /**
  * Guard for wire-derived lengths/counts: fatal when `n` is implausibly
  * large (a corrupted field must never be trusted with an allocation).
- * Every length the codec itself decodes is already guarded; custom
- * payload decoders (work requests/results) must apply it to their own
- * count fields too.
+ * Every length the codec decodes passes through it; a replica of an old
+ * layout (bench_dataplane's v1 profiles) applies it to its own counts.
  */
 std::uint64_t checkedCount(std::uint64_t n, const char* what);
 
@@ -277,6 +331,15 @@ std::optional<Frame> readFrame(std::istream& in);
  * header, ready for a Decoder without a copy.
  */
 FrameHeader verifyFrame(const std::uint8_t* data, std::size_t size);
+
+/**
+ * Header probe: true when `data` is a whole frame of `type` — the right
+ * magic and a payload length matching `size` — written by a codec
+ * version other than kVersion.  Its checksum is left unchecked: the
+ * checksum algorithm is part of that version.
+ */
+bool foreignVersionFrame(const std::uint8_t* data, std::size_t size,
+                         FrameType type);
 
 }  // namespace fingrav::core::codec
 

@@ -27,19 +27,6 @@ using runtime::FrameStatus;
 using runtime::IoBudget;
 using Clock = std::chrono::steady_clock;
 
-/** One-spec request in the kWorkRequest wire layout (count = 1). */
-std::vector<std::uint8_t>
-encodeSpecRequest(const sim::MachineConfig& cfg, std::size_t slot,
-                  const ScenarioSpec& spec)
-{
-    codec::Encoder enc;
-    codec::encodeMachineConfig(enc, cfg);
-    enc.u32(1);
-    enc.u64(slot);
-    codec::encodeScenarioSpec(enc, spec);
-    return enc.bytes();
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -326,9 +313,9 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
         SeatState& state = seats[seat];
         state.slot = slot;
         state.delivered = false;
-        const auto request = encodeSpecRequest(cfg, slot, specs[slot]);
-        const auto wire =
-            codec::encodeFrame(codec::FrameType::kWorkRequest, request);
+        const auto wire = codec::encodeFrame(
+            codec::FrameType::kWorkRequest,
+            codec::encodeWorkRequest(cfg, {{slot, specs[slot]}}));
         if (!runtime::writeAll(fleet_.writeFd(seat), wire.data(),
                                wire.size(),
                                IoBudget::inactivityOnly(opts.io_timeout_ms)))
@@ -438,25 +425,20 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
             try {
                 switch (frame.type) {
                   case codec::FrameType::kWorkResult: {
-                    codec::Decoder dec(frame.payload);
-                    const std::size_t slot =
-                        static_cast<std::size_t>(dec.u64());
-                    auto set = codec::decodeProfileSet(dec);
-                    dec.expectEnd("work result");
-                    if (slot != state.slot || state.delivered) {
+                    auto result = codec::decodeWorkResult(frame.payload);
+                    if (result.slot != state.slot || state.delivered) {
                         support::fatal("fleet seat ", seat,
-                                       " returned unexpected slot ", slot);
+                                       " returned unexpected slot ",
+                                       result.slot);
                     }
-                    results[slot] = std::move(set);
+                    results[state.slot] = std::move(result.set);
                     state.delivered = true;
                     ++stats_.remote_specs;
                     break;
                   }
                   case codec::FrameType::kWorkDone: {
-                    codec::Decoder dec(frame.payload);
-                    const std::uint32_t count = dec.u32();
-                    dec.expectEnd("work done");
-                    if (count != 1 || !state.delivered) {
+                    if (codec::decodeWorkDone(frame.payload) != 1 ||
+                        !state.delivered) {
                         support::fatal("fleet seat ", seat,
                                        " completed with its slot "
                                        "unaccounted for");
@@ -465,8 +447,8 @@ FleetBackend::executeUncached(const std::vector<ScenarioSpec>& specs,
                     break;
                   }
                   case codec::FrameType::kWorkerError: {
-                    codec::Decoder dec(frame.payload);
-                    const std::string message = dec.str();
+                    const std::string message =
+                        codec::decodeWorkerError(frame.payload);
                     forfeit(seat, DegradeKind::kWorkerDeath,
                             ("reported: " + message).c_str());
                     return;

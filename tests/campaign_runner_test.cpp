@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -341,4 +342,52 @@ TEST(ThreadPool, PropagatesItemExceptions)
     std::atomic<int> ok{0};
     pool.parallelFor(8, [&](std::size_t) { ok.fetch_add(1); });
     EXPECT_EQ(ok.load(), 8);
+}
+
+TEST(CampaignRunner, IdenticalProfileSetsComparesEveryFieldBitwise)
+{
+    fc::ScenarioSpec spec;
+    spec.label = "CB-2K-GEMM";
+    spec.opts.runs_override = 2;
+    const auto base = fc::CampaignRunner::runOne(spec);
+    ASSERT_TRUE(fc::identicalProfileSets(base, base));
+    const auto later = [](fs::Duration d) {
+        return fs::Duration::nanos(d.nanos() + 1);
+    };
+
+    // Sets differing in one guidance field only.
+    auto loi = base;
+    loi.guidance.loi_per = later(loi.guidance.loi_per);
+    EXPECT_FALSE(fc::identicalProfileSets(base, loi));
+    auto lo = base;
+    lo.guidance.exec_lo = later(lo.guidance.exec_lo);
+    EXPECT_FALSE(fc::identicalProfileSets(base, lo));
+    auto hi = base;
+    hi.guidance.exec_hi = later(hi.guidance.exec_hi);
+    EXPECT_FALSE(fc::identicalProfileSets(base, hi));
+
+    // Doubles compare by bit pattern: a sign flip of zero differs, and a
+    // NaN matches itself.
+    auto zero = base;
+    auto negative_zero = base;
+    zero.read_delay_us = 0.0;
+    negative_zero.read_delay_us = -0.0;
+    EXPECT_FALSE(fc::identicalProfileSets(zero, negative_zero));
+    auto nan_a = base;
+    auto nan_b = base;
+    nan_a.drift_ppm = std::numeric_limits<double>::quiet_NaN();
+    nan_b.drift_ppm = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(fc::identicalProfileSets(nan_a, nan_b));
+
+    // And so do profile columns.
+    const auto profileWith = [](double watts) {
+        fc::PowerProfile profile("p", fc::ProfileKind::kSsp);
+        fc::ProfilePoint point;
+        point.sample.total_w = watts;
+        profile.add(point);
+        return profile;
+    };
+    EXPECT_FALSE(fc::identicalProfiles(profileWith(0.0), profileWith(-0.0)));
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_TRUE(fc::identicalProfiles(profileWith(nan), profileWith(nan)));
 }

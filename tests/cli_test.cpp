@@ -93,3 +93,29 @@ TEST(Cli, CoscheduleRejectsRunPathFlags)
                        option.substr(0, option.find(' ')));
     }
 }
+
+TEST(Cli, RunPathRejectsFleetFlagsWithoutFleet)
+{
+    // In process there is no worker pipe to time out, and without a
+    // cache store either a fault plan has nothing to act on.
+    for (const char* command : {"profile CB-2K-GEMM",
+                                "compare CB-2K-GEMM MB-4K-GEMV",
+                                "campaign CB-2K-GEMM"}) {
+        const std::string run = std::string(command) + " --runs 2 --quiet ";
+        expectRejected(run + "--io-timeout-ms 5", "--io-timeout-ms");
+        expectRejected(run + "--fault-plan kill:seat=0,frame=0",
+                       "--fault-plan");
+    }
+    TempDir dir("fingrav_cli");
+    const std::string cache = dir.path() + "/cache";
+    expectRejected("profile CB-2K-GEMM --runs 2 --cache-dir " + cache +
+                       " --no-cache --fault-plan store-short",
+                   "--fault-plan");
+    // A cache store is a fault site of its own.
+    std::string output;
+    EXPECT_EQ(runCli("profile CB-2K-GEMM --runs 2 --quiet --cache-dir " +
+                         cache + " --fault-plan store-short",
+                     output),
+              0)
+        << output;
+}

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fingrav/campaign_cache.hpp"
 #include "fingrav/campaign_runner.hpp"
 #include "fingrav/codec.hpp"
 #include "fingrav/scenario.hpp"
@@ -572,4 +573,182 @@ TEST(Codec, ColumnarRoundTripPreservesBitmapAcrossWordBoundaries)
         EXPECT_EQ(decoded.timeline.contendedCount(),
                   set.timeline.contendedCount());
     }
+}
+
+// ---- golden wire bytes -----------------------------------------------------
+
+namespace {
+
+/** A spec with every optional set and one background load of each kind. */
+fc::ScenarioSpec
+goldenSpec()
+{
+    fc::ScenarioSpec spec;
+    spec.label = "CB-2K-GEMM";
+    spec.seed = 0x1234'5678'9ABCULL;
+    spec.devices = 2;
+    auto& opts = spec.opts;
+    opts.device = 1;
+    opts.runs_override = 7;
+    opts.margin_override = 0.125;
+    opts.sse_executions = 3;
+    opts.timing_reps = 6;
+    opts.min_delay = fs::Duration::micros(150.0);
+    opts.max_delay = fs::Duration::millis(1.5);
+    opts.sync_mode = fc::SyncMode::kFinGraVDrift;
+    opts.binning = false;
+    opts.collect_extra_runs = false;
+    opts.max_extra_run_factor = -0.0;
+    opts.stability_eps = 0.02;
+    opts.logger_window = fs::Duration::micros(500.0);
+    opts.target_bin = fs::Duration::nanos(-42);
+    fc::BackgroundLoad kernel;
+    kernel.kind = fc::BackgroundKind::kKernel;
+    kernel.kernel = "MB-4K-GEMV";
+    kernel.device = 1;
+    kernel.queue = 2;
+    kernel.offset = fs::Duration::micros(10.0);
+    kernel.period = fs::Duration::micros(400.0);
+    kernel.duty_cycle = 0.5;
+    kernel.cycles = 3;
+    kernel.jitter_sigma = 0.02;
+    fc::BackgroundLoad demand;
+    demand.kind = fc::BackgroundKind::kFabricDemand;
+    demand.demand = 0.75;
+    demand.device = 0;
+    demand.queue = 0;
+    demand.period = fs::Duration::micros(-1.0);
+    spec.background = {kernel, demand};
+    return spec;
+}
+
+std::uint64_t
+hashOf(const std::vector<std::uint8_t>& bytes)
+{
+    return codec::xxh64(bytes.data(), bytes.size());
+}
+
+std::vector<std::uint8_t>
+concat(std::vector<std::uint8_t> a, const std::vector<std::uint8_t>& b)
+{
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+}
+
+}  // namespace
+
+TEST(Codec, GoldenWireBytes)
+{
+    // The wire contract pinned byte for byte (through its XXH64): any
+    // change to a field list, an integer width or an order moves one of
+    // these, and must come with a kVersion bump and a re-pin.  The frame
+    // payloads are spelled out from the public primitives, so this test
+    // reads the same bytes whatever code produces them.
+    const auto cfg = fingrav::sim::mi300xConfig();
+    const auto spec = goldenSpec();
+    fc::ScenarioSpec run_spec;
+    run_spec.label = "CB-2K-GEMM";
+    run_spec.opts.runs_override = 2;
+    const auto set = fc::CampaignRunner::runOne(run_spec, cfg);
+
+    const auto cfg_bytes = codec::encode(cfg);
+    const auto spec_bytes = codec::encode(spec);
+    const auto set_bytes = codec::encode(set);
+    EXPECT_EQ(cfg_bytes.size(), 512u);
+    EXPECT_EQ(hashOf(cfg_bytes), 0x535F4A98A36F1D47ULL);
+    EXPECT_EQ(spec_bytes.size(), 276u);
+    EXPECT_EQ(hashOf(spec_bytes), 0x3ABF5D0E35B1B58CULL);
+    EXPECT_EQ(set_bytes.size(), 2811u);
+    EXPECT_EQ(hashOf(set_bytes), 0x6603DEB615B21545ULL);
+
+    const std::string key = fc::CampaignCache::key(spec, cfg);
+    EXPECT_EQ(codec::xxh64(reinterpret_cast<const std::uint8_t*>(key.data()),
+                           key.size()),
+              0x9D06B70F34862628ULL);
+
+    // kWorkRequest: MachineConfig, u32 count, then (u64 slot, spec) pairs.
+    codec::Encoder request_head;
+    request_head.u32(1);
+    request_head.u64(5);
+    const auto request =
+        concat(concat(cfg_bytes, request_head.bytes()), spec_bytes);
+    EXPECT_EQ(hashOf(request), 0x6355FD3EC8BAF503ULL);
+
+    // kWorkResult: u64 slot, then the ProfileSet.
+    codec::Encoder result_head;
+    result_head.u64(5);
+    EXPECT_EQ(hashOf(concat(result_head.bytes(), set_bytes)),
+              0xC504292D8BE0BA9EULL);
+}
+
+TEST(Codec, FramePayloadsMatchTheGoldenLayouts)
+{
+    // The typed payload functions produce exactly the bytes the golden
+    // test spells out from the primitives, and decode them back.
+    const auto cfg = fingrav::sim::mi300xConfig();
+    const auto spec = goldenSpec();
+    fs::Rng rng(48);
+    const auto set = randomSet(rng);
+
+    codec::Encoder request_head;
+    request_head.u32(1);
+    request_head.u64(5);
+    const auto request = codec::encodeWorkRequest(cfg, {{5, spec}});
+    EXPECT_EQ(request, concat(concat(codec::encode(cfg),
+                                     request_head.bytes()),
+                              codec::encode(spec)));
+    const auto decoded_request = codec::decodeWorkRequest(request);
+    EXPECT_EQ(codec::encode(decoded_request.cfg), codec::encode(cfg));
+    ASSERT_EQ(decoded_request.items.size(), 1u);
+    EXPECT_EQ(decoded_request.items[0].first, 5u);
+    expectSpecsEqual(decoded_request.items[0].second, spec);
+
+    codec::Encoder result_head;
+    result_head.u64(7);
+    const auto result = codec::encodeWorkResult(7, set);
+    EXPECT_EQ(result, concat(result_head.bytes(), codec::encode(set)));
+    const auto decoded_result = codec::decodeWorkResult(result);
+    EXPECT_EQ(decoded_result.slot, 7u);
+    EXPECT_TRUE(fc::identicalProfileSets(decoded_result.set, set));
+
+    EXPECT_EQ(codec::decodeWorkDone(codec::encodeWorkDone(3)), 3u);
+    EXPECT_EQ(codec::decodeWorkerError(codec::encodeWorkerError("boom")),
+              "boom");
+    auto done = codec::encodeWorkDone(1);
+    done.push_back(0);
+    EXPECT_THROW(codec::decodeWorkDone(done), fs::FatalError);
+
+    const std::string key = codec::cacheKey(spec, cfg);
+    EXPECT_EQ(key, fc::CampaignCache::key(spec, cfg));
+    const auto blob = codec::encodeCacheEntry(key, set);
+    const auto entry = codec::decodeCacheEntry(blob.data(), blob.size());
+    EXPECT_EQ(entry.key, key);
+    EXPECT_TRUE(fc::identicalProfileSets(entry.set, set));
+    // A valid frame of another type is not a cache entry.
+    const auto other = codec::encodeFrame(codec::FrameType::kWorkResult,
+                                          result);
+    EXPECT_THROW(codec::decodeCacheEntry(other.data(), other.size()),
+                 fs::FatalError);
+}
+
+TEST(Codec, ForeignVersionProbeReadsOnlyTheHeader)
+{
+    fs::Rng rng(49);
+    auto blob = codec::encodeCacheEntry("key", randomSet(rng));
+    const auto probe = [&](const std::vector<std::uint8_t>& bytes) {
+        return codec::foreignVersionFrame(bytes.data(), bytes.size(),
+                                          codec::FrameType::kCacheEntry);
+    };
+    EXPECT_FALSE(probe(blob));  // current version: not foreign
+    blob[4] = static_cast<std::uint8_t>(codec::kVersion - 1);
+    EXPECT_TRUE(probe(blob));
+    EXPECT_FALSE(codec::foreignVersionFrame(blob.data(), blob.size(),
+                                            codec::FrameType::kWorkResult));
+    auto truncated = blob;
+    truncated.pop_back();
+    EXPECT_FALSE(probe(truncated));
+    auto bad_magic = blob;
+    bad_magic[0] ^= 0xff;
+    EXPECT_FALSE(probe(bad_magic));
+    EXPECT_FALSE(probe({blob.begin(), blob.begin() + 10}));
 }

@@ -410,6 +410,13 @@ class RunPath {
                          : fc::CampaignRunner()),
           cache_(makeCache(opts))
     {
+        // An in-process run has no worker pipe to time out, and a fault
+        // plan needs fleet seats or a cache store to act on.
+        rejectIgnored(!fleet_ && opts.io_timeout_ms > 0, "--io-timeout-ms",
+                      "a run without --fleet", argv0);
+        rejectIgnored(!fleet_ && !cache_ && !opts.fault_plan.empty(),
+                      "--fault-plan", "a run without --fleet or a cache",
+                      argv0);
         if (cache_)
             runner_.attachCache(cache_);
     }
